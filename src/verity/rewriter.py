@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 from . import sqlast as ast
 from .errors import AmbiguousColumn, UnknownColumn, UnknownTable, UnsupportedFeature
-from .storage import Catalog, Row, TableDef, Tuple, eval_aggregate, eval_expr, find_aggregates
-from .values import NULL
+from .storage import Catalog, Row, TableDef, Tuple, project_rows
 
 
 @dataclass(frozen=True)
@@ -87,16 +86,7 @@ def project_results(wide_rows: list[Row], rw: RewrittenSelect) -> list[Row]:
     Row order is preserved; bare aggregates collapse the set to one row.
     """
     exprs = [e for e, _ in rw.original_projection]
-    if any(ast.expr_has_aggregate(e) for e in exprs):
-        agg_values: dict = {}
-        for e in exprs:
-            for node in find_aggregates(e):
-                if node not in agg_values:
-                    agg_values[node] = eval_aggregate(node, wide_rows, None)
-        width = len(rw.wide_query.projections)
-        base = wide_rows[0] if wide_rows else (NULL,) * width
-        return [tuple(eval_expr(e, base, None, agg_values) for e in exprs)]
-    return [tuple(eval_expr(e, row, None) for e in exprs) for row in wide_rows]
+    return project_rows(exprs, wide_rows, len(rw.wide_query.projections))
 
 
 # --- internals ---------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Embedded relational engine: catalog, typed in-memory tables, execution of
 the supported SQL subset, and CSV ingestion.
 
-Execution is plain nested-loop join over the FROM list (derived tables
-materialized first), with conjuncts of the WHERE clause applied as soon as
-the tables they mention are bound. No indexes, no optimizer.
+A SELECT runs in three steps. Derived tables are materialized first. A
+binder pass then resolves every column name once, to a position in the
+joined row, and gives each WHERE conjunct to the deepest FROM item it reads:
+conjuncts over one item filter that item's rows once; an ``=`` between an
+expression over an item and one over earlier items becomes a hash-join key
+(the item's filtered rows are hashed on it and probed by each earlier row);
+the rest are checked on each joined row. The join keeps nested-loop order:
+rows come out sorted by the first item's primary key, then the second's,
+and so on. Hash tables live for one statement. No indexes, no cost model.
 
 Mutations come in two flavors: ``apply_row_*`` is the path used by the
 verified pipeline, ``raw_*`` is the out-of-band backdoor that simulates an
@@ -16,8 +22,9 @@ read-only ``exec_select`` calls between mutations are fine.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, DivisionByZero, InvalidOperation
 
 from . import sqlast as ast
@@ -220,7 +227,7 @@ def _pk_sort_key(pk: tuple):
     return tuple(v.sort_key() for v in pk)
 
 
-# --- expression evaluation ---------------------------------------------------
+# --- binding -----------------------------------------------------------------
 
 class Scope:
     """Name-resolution environment over a list of bound row sources."""
@@ -259,18 +266,91 @@ class Scope:
             out.extend((n, off + i) for i, n in enumerate(names))
         return out
 
+    def bind(self, node):
+        """``node`` with every column reference resolved to its position."""
+        def leaf(c):
+            if isinstance(c, ast.BoundCol):
+                return c
+            return ast.BoundCol(self.resolve(c.table, c.column))
 
-def eval_expr(e, row: Row, scope: Scope | None, agg_values: dict | None = None) -> Value:
-    if isinstance(e, ast.Literal):
-        return e.value
+        return _map_columns(node, leaf)
+
+
+@dataclass(frozen=True)
+class _Like:
+    """A bound LIKE predicate, its pattern compiled once."""
+    expr: object
+    regex: re.Pattern
+    negated: bool
+
+
+def _map_columns(node, leaf):
+    """Copy of an expression or predicate with every column (``ColumnRef`` or
+    ``BoundCol``) replaced by ``leaf(column)`` and every LIKE compiled."""
+    if isinstance(node, (ast.ColumnRef, ast.BoundCol)):
+        return leaf(node)
+    if isinstance(node, ast.BinaryOp):
+        return ast.BinaryOp(node.op, _map_columns(node.left, leaf), _map_columns(node.right, leaf))
+    if isinstance(node, ast.UnaryMinus):
+        return ast.UnaryMinus(_map_columns(node.operand, leaf))
+    if isinstance(node, ast.Aggregate):
+        return node if node.arg is None else ast.Aggregate(node.func, _map_columns(node.arg, leaf))
+    if isinstance(node, ast.Comparison):
+        return ast.Comparison(
+            node.op, _map_columns(node.left, leaf), _map_columns(node.right, leaf)
+        )
+    if isinstance(node, ast.LikePredicate):
+        return _Like(_map_columns(node.expr, leaf), _like_regex(node.pattern), node.negated)
+    if isinstance(node, _Like):
+        return _Like(_map_columns(node.expr, leaf), node.regex, node.negated)
+    if isinstance(node, (ast.And, ast.Or)):
+        return type(node)(_map_columns(node.left, leaf), _map_columns(node.right, leaf))
+    return node
+
+
+def _columns(node) -> set[int]:
+    """Positions of the bound columns ``node`` reads."""
+    out: set[int] = set()
+    _map_columns(node, lambda c: out.add(c.index) or c)
+    return out
+
+
+def _shift(node, offset: int):
+    """Bound ``node`` re-addressed to rows that start at wide position ``offset``."""
+    return _map_columns(node, lambda c: ast.BoundCol(c.index - offset))
+
+
+def _like_regex(pattern: str) -> re.Pattern:
+    parts = []
+    for ch in pattern:
+        if ch == "%":
+            parts.append(".*")
+        elif ch == "_":
+            parts.append(".")
+        else:
+            parts.append(re.escape(ch))
+    return re.compile("".join(parts), re.DOTALL)
+
+
+def _conjuncts(p) -> list:
+    if p is None:
+        return []
+    if isinstance(p, ast.And):
+        return _conjuncts(p.left) + _conjuncts(p.right)
+    return [p]
+
+
+# --- expression evaluation (bound trees only) --------------------------------
+
+def eval_expr(e, row: Row, agg_values: dict | None = None) -> Value:
     if isinstance(e, ast.BoundCol):
         return row[e.index]
+    if isinstance(e, ast.Literal):
+        return e.value
     if isinstance(e, ast.ColumnRef):
-        if scope is None:
-            raise EvalError(f"column reference {e.column!r} not allowed here")
-        return row[scope.resolve(e.table, e.column)]
+        raise EvalError(f"column reference {e.column!r} not allowed here")
     if isinstance(e, ast.UnaryMinus):
-        v = eval_expr(e.operand, row, scope, agg_values)
+        v = eval_expr(e.operand, row, agg_values)
         if v.is_null:
             return NULL
         if v.kind is ValueType.INTEGER:
@@ -279,8 +359,8 @@ def eval_expr(e, row: Row, scope: Scope | None, agg_values: dict | None = None) 
             return Value.decimal(-v.raw)
         raise EvalError(f"cannot negate {v.kind.value}")
     if isinstance(e, ast.BinaryOp):
-        a = eval_expr(e.left, row, scope, agg_values)
-        b = eval_expr(e.right, row, scope, agg_values)
+        a = eval_expr(e.left, row, agg_values)
+        b = eval_expr(e.right, row, agg_values)
         return _arith(e.op, a, b)
     if isinstance(e, ast.Aggregate):
         if agg_values is not None and e in agg_values:
@@ -344,85 +424,139 @@ def compare_values(op: str, a: Value, b: Value) -> bool:
     raise EvalError(f"unknown comparison {op!r}")
 
 
-def _like_regex(pattern: str) -> re.Pattern:
-    parts = []
-    for ch in pattern:
-        if ch == "%":
-            parts.append(".*")
-        elif ch == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(ch))
-    return re.compile("".join(parts), re.DOTALL)
-
-
-def eval_predicate(p, row: Row, scope: Scope) -> bool:
+def eval_predicate(p, row: Row) -> bool:
     if isinstance(p, ast.Comparison):
-        return compare_values(
-            p.op, eval_expr(p.left, row, scope), eval_expr(p.right, row, scope)
-        )
-    if isinstance(p, ast.LikePredicate):
-        v = eval_expr(p.expr, row, scope)
+        return compare_values(p.op, eval_expr(p.left, row), eval_expr(p.right, row))
+    if isinstance(p, _Like):
+        v = eval_expr(p.expr, row)
         if v.is_null:
             return False
         if v.kind not in _STRINGY:
             raise EvalError("LIKE applies to text values")
-        hit = _like_regex(p.pattern).fullmatch(v.raw) is not None
+        hit = p.regex.fullmatch(v.raw) is not None
         return not hit if p.negated else hit
     if isinstance(p, ast.And):
-        return eval_predicate(p.left, row, scope) and eval_predicate(p.right, row, scope)
+        return eval_predicate(p.left, row) and eval_predicate(p.right, row)
     if isinstance(p, ast.Or):
-        return eval_predicate(p.left, row, scope) or eval_predicate(p.right, row, scope)
+        return eval_predicate(p.left, row) or eval_predicate(p.right, row)
     raise EvalError(f"cannot evaluate predicate {p!r}")
 
 
-def _conjuncts(p) -> list:
-    if p is None:
-        return []
-    if isinstance(p, ast.And):
-        return _conjuncts(p.left) + _conjuncts(p.right)
-    return [p]
+# --- joins -------------------------------------------------------------------
 
+# Hash-key class of a non-NULL value: values compare only within a class.
+_KEY_CLASS = {ValueType.INTEGER: 0, ValueType.DECIMAL: 0, ValueType.TEXT: 1, ValueType.DATE: 1}
 
-def _predicate_bindings(p, scope: Scope) -> set[str]:
-    """Bindings referenced by a predicate (bare names resolved via scope)."""
-    out: set[str] = set()
-
-    def walk_expr(e):
-        if isinstance(e, ast.ColumnRef):
-            idx = scope.resolve(e.table, e.column)
-            for b, names, off in scope.blocks:
-                if off <= idx < off + len(names):
-                    out.add(b)
-                    return
-        elif isinstance(e, ast.BinaryOp):
-            walk_expr(e.left)
-            walk_expr(e.right)
-        elif isinstance(e, ast.UnaryMinus):
-            walk_expr(e.operand)
-        elif isinstance(e, ast.Aggregate) and e.arg is not None:
-            walk_expr(e.arg)
-
-    def walk(pred):
-        if isinstance(pred, ast.Comparison):
-            walk_expr(pred.left)
-            walk_expr(pred.right)
-        elif isinstance(pred, ast.LikePredicate):
-            walk_expr(pred.expr)
-        elif isinstance(pred, (ast.And, ast.Or)):
-            walk(pred.left)
-            walk(pred.right)
-
-    walk(p)
-    return out
-
-
-# --- result sets -------------------------------------------------------------
 
 @dataclass
-class ResultSet:
-    names: list[str]
-    rows: list[Row]
+class _Step:
+    """One FROM binding, joined onto the rows of the bindings before it.
+
+    ``local`` and ``inner_keys`` read the binding's own rows; ``outer_keys``
+    and ``residual`` read the wide row joined so far.
+    """
+    rows: list[Row]                                  # the binding's rows, in order
+    local: list = field(default_factory=list)        # conjuncts over this binding only
+    inner_keys: list = field(default_factory=list)   # hash keys over this binding, each
+    outer_keys: list = field(default_factory=list)   # equal to one over earlier bindings
+    inner_left: list = field(default_factory=list)   # the inner key was the left operand
+    residual: list = field(default_factory=list)     # every other conjunct
+
+
+def _plan(where, scope: Scope, sources: list[list[Row]]) -> list[_Step]:
+    """Bind the WHERE clause and give each conjunct to the deepest binding it
+    reads: as a filter of that binding's rows when it reads no other, as a
+    hash-join key when it equates an expression over that binding with one
+    over earlier bindings, as a residual predicate otherwise."""
+    depth_of = [d for d, (_, names, _) in enumerate(scope.blocks) for _ in names]
+
+    def depths(node) -> set[int]:
+        return {depth_of[i] for i in _columns(node)}
+
+    steps = [_Step(rows) for rows in sources]
+    for conj in _conjuncts(where):
+        bound = scope.bind(conj)
+        read = depths(bound)
+        d = max(read, default=0)
+        step, off = steps[d], scope.blocks[d][2]
+        if read <= {d}:
+            step.local.append(_shift(bound, off))
+            continue
+        if isinstance(bound, ast.Comparison) and bound.op == "=":
+            left, right = depths(bound.left), depths(bound.right)
+            if left == {d} and max(right) < d:
+                step.inner_keys.append(_shift(bound.left, off))
+                step.outer_keys.append(bound.right)
+                step.inner_left.append(True)
+                continue
+            if right == {d} and max(left) < d:
+                step.inner_keys.append(_shift(bound.right, off))
+                step.outer_keys.append(bound.left)
+                step.inner_left.append(False)
+                continue
+        step.residual.append(bound)
+    return steps
+
+
+def _join(steps: list[_Step]) -> list[Row]:
+    """Joined rows, in nested-loop order: by the first binding's row order,
+    then the second's, and so on."""
+    joined: list[Row] = [()]
+    for step in steps:
+        rows = step.rows
+        if step.local:
+            rows = [r for r in rows if all(eval_predicate(c, r) for c in step.local)]
+        if not rows:
+            return []
+        matches = _hash_matches(step, rows) if step.inner_keys else (lambda acc: rows)
+        residual = step.residual
+        out: list[Row] = []
+        for acc in joined:
+            wide = [acc + row for row in matches(acc)]
+            if residual:
+                wide = [w for w in wide if all(eval_predicate(c, w) for c in residual)]
+            out.extend(wide)
+        if not out:
+            return []
+        joined = out
+    return joined
+
+
+def _hash_matches(step: _Step, rows: list[Row]):
+    """Hash ``rows`` on the step's inner keys; return the probe that finds, in
+    row order, the rows matching an outer row's keys.
+
+    Keys are (class, raw) pairs, so INTEGER 1 meets DECIMAL 1.00 and TEXT
+    meets DATE as ``=`` does; a NULL key meets nothing. A probe whose key
+    class differs from a build-side key raises the error ``=`` raises."""
+    table: dict[tuple, list[Row]] = {}
+    classes: list[dict] = [{} for _ in step.inner_keys]  # per key: class -> a value
+    for row in rows:
+        key = []
+        for e, seen in zip(step.inner_keys, classes):
+            v = eval_expr(e, row)
+            if v.is_null:
+                break
+            c = _KEY_CLASS[v.kind]
+            seen.setdefault(c, v)
+            key.append((c, v.raw))
+        else:
+            table.setdefault(tuple(key), []).append(row)
+
+    def matches(acc: Row):
+        key = []
+        for e, seen, inner_left in zip(step.outer_keys, classes, step.inner_left):
+            v = eval_expr(e, acc)
+            if v.is_null:
+                return ()
+            c = _KEY_CLASS[v.kind]
+            for other_c, other in seen.items():
+                if other_c != c:  # raises EvalError, as comparing the two would
+                    compare_values("=", *((other, v) if inner_left else (v, other)))
+            key.append((c, v.raw))
+        return table.get(tuple(key), ())
+
+    return matches
 
 
 # --- the database ------------------------------------------------------------
@@ -511,83 +645,25 @@ class Database:
         return self._table(tup.table).pk_of(tup.values)
 
     def exec_select(self, q: ast.SelectQuery) -> list[Row]:
-        return self.exec_select_full(q).rows
+        return self._select(q)[1]
 
-    def exec_select_full(self, q: ast.SelectQuery) -> ResultSet:
-        sources = []  # (binding, names, rows)
+    def _select(self, q: ast.SelectQuery) -> tuple[list[str], list[Row]]:
+        """Output names and rows of ``q``. Derived tables run first; then
+        every name is bound once, before the join touches a row."""
+        blocks, sources, off = [], [], 0
         for item in q.from_items:
             if isinstance(item, ast.BaseTable):
                 t = self._table(item.name)
-                sources.append((item.binding, t.d.column_names(), t.sorted_rows()))
+                names, rows = t.d.column_names(), t.sorted_rows()
             else:
-                sub = self.exec_select_full(item.subquery)
-                sources.append((item.binding, sub.names, sub.rows))
-
-        blocks = []
-        off = 0
-        for binding, names, _ in sources:
-            blocks.append((binding, names, off))
+                names, rows = self._select(item.subquery)
+            blocks.append((item.binding, names, off))
+            sources.append(rows)
             off += len(names)
         scope = Scope(blocks)
-
-        # bind each conjunct to the deepest FROM item it mentions
-        per_depth: list[list] = [[] for _ in sources]
-        bindings_order = [b for b, _, _ in sources]
-        for conj in _conjuncts(q.where):
-            refs = _predicate_bindings(conj, scope)
-            depth = max((bindings_order.index(b) for b in refs), default=0)
-            per_depth[depth].append(conj)
-
-        joined: list[Row] = []
-        width = off
-
-        def loop(depth: int, acc: list):
-            if depth == len(sources):
-                joined.append(tuple(acc))
-                return
-            _, names, rows = sources[depth]
-            pad = [NULL] * (width - len(acc) - len(names))
-            for row in rows:
-                acc2 = acc + list(row)
-                probe = tuple(acc2 + pad)
-                if all(eval_predicate(c, probe, scope) for c in per_depth[depth]):
-                    loop(depth + 1, acc2)
-
-        loop(0, [])
-        return self._project(q.projections, joined, scope)
-
-    def _project(self, items, rows: list[Row], scope: Scope) -> ResultSet:
-        names: list[str] = []
-        exprs: list = []
-        for i, item in enumerate(items):
-            if isinstance(item.expr, ast.Star):
-                for n, idx in scope.all_columns():
-                    names.append(n)
-                    exprs.append(ast.BoundCol(idx))
-            else:
-                exprs.append(item.expr)
-                if item.alias:
-                    names.append(item.alias)
-                elif isinstance(item.expr, ast.ColumnRef):
-                    names.append(item.expr.column)
-                else:
-                    names.append(f"expr_{i}")
-
-        if any(ast.expr_has_aggregate(e) for e in exprs):
-            # Bare aggregates collapse the whole result to a single row.
-            # Non-aggregate expressions are taken from the first row
-            # (NULL when the input is empty).
-            agg_values: dict = {}
-            for e in exprs:
-                for node in find_aggregates(e):
-                    if node not in agg_values:
-                        agg_values[node] = eval_aggregate(node, rows, scope)
-            base = rows[0] if rows else (NULL,) * scope.width
-            out_row = tuple(eval_expr(e, base, scope, agg_values) for e in exprs)
-            return ResultSet(names, [out_row])
-
-        out = [tuple(eval_expr(e, row, scope) for e in exprs) for row in rows]
-        return ResultSet(names, out)
+        steps = _plan(q.where, scope, sources)
+        names, exprs = _outputs(q.projections, scope)
+        return names, project_rows(exprs, _join(steps), scope.width)
 
     # verified-pipeline mutations
 
@@ -638,6 +714,54 @@ class Database:
         return db
 
 
+def _outputs(items, scope: Scope) -> tuple[list[str], list]:
+    """Output names and bound output expressions of a projection list."""
+    names: list[str] = []
+    exprs: list = []
+    for i, item in enumerate(items):
+        if isinstance(item.expr, ast.Star):
+            for n, idx in scope.all_columns():
+                names.append(n)
+                exprs.append(ast.BoundCol(idx))
+            continue
+        exprs.append(scope.bind(item.expr))
+        if item.alias:
+            names.append(item.alias)
+        elif isinstance(item.expr, ast.ColumnRef):
+            names.append(item.expr.column)
+        else:
+            names.append(f"expr_{i}")
+    return names, exprs
+
+
+def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
+    """Bound output expressions evaluated over ``width``-wide rows, in order.
+
+    Bare aggregates collapse the result to one row, whose non-aggregate
+    expressions take their values from the first row (NULL when there is
+    none). Plain column outputs are picked by position; a row that already
+    is its output is passed on as it is.
+    """
+    if any(ast.expr_has_aggregate(e) for e in exprs):
+        agg_values: dict = {}
+        for e in exprs:
+            for node in find_aggregates(e):
+                if node not in agg_values:
+                    agg_values[node] = eval_aggregate(node, rows)
+        base = rows[0] if rows else (NULL,) * width
+        return [tuple(eval_expr(e, base, agg_values) for e in exprs)]
+    if all(isinstance(e, ast.BoundCol) for e in exprs):
+        positions = [e.index for e in exprs]
+        if positions == list(range(width)):
+            return list(rows)
+        if len(positions) == 1:
+            i = positions[0]
+            return [(row[i],) for row in rows]
+        pick = operator.itemgetter(*positions)
+        return [pick(row) for row in rows]
+    return [tuple(eval_expr(e, row) for e in exprs) for row in rows]
+
+
 def find_aggregates(e):
     if isinstance(e, ast.Aggregate):
         yield e
@@ -648,10 +772,10 @@ def find_aggregates(e):
         yield from find_aggregates(e.operand)
 
 
-def eval_aggregate(agg: ast.Aggregate, rows: list[Row], scope: Scope) -> Value:
+def eval_aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:
     if agg.is_count_star:
         return Value.integer(len(rows))
-    vals = [eval_expr(agg.arg, r, scope) for r in rows]
+    vals = [eval_expr(agg.arg, r) for r in rows]
     vals = [v for v in vals if not v.is_null]
     if agg.func == "count":
         return Value.integer(len(vals))

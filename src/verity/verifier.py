@@ -215,11 +215,11 @@ class Verifier:
                 pk_idx = exposure.tabledef.pk_indices
                 for row in wide_rows:
                     ctx.seen += 1
-                    tup = tuples_of(row, exposure)
-                    rid, fp = fingerprint_tuple(tup, pk_idx)
+                    rid = row_id([row[exposure.start + i] for i in pk_idx], exposure.table)
                     if rid in ctx.checked:
                         continue
                     ctx.checked.add(rid)
+                    fp = fingerprint(rid, tuples_of(row, exposure))
                     rec = self.ledger.get_current(rid)
                     if rec is None:
                         self._alert(ctx, rid, exposure.table, "ABSENT", fp)
@@ -263,6 +263,8 @@ class Verifier:
         old_rows, _ = self._select(self._select_star(q.table, q.where), ctx)
 
         scope = Scope([(td.name, td.column_names(), 0)])
+        bound = {i: scope.bind(a.value) for i, a in enumerate(q.assignments)
+                 if i not in scalar_values}
         drafts = []
         mutations = []
         for old in old_rows:
@@ -272,7 +274,7 @@ class Verifier:
                 if i in scalar_values:
                     v = scalar_values[i]
                 else:
-                    v = eval_expr(a.value, old, scope)
+                    v = eval_expr(bound[i], old)
                 if not v.is_null:
                     v = coerce(v, td.columns[idx].type)
                 new_values[idx] = v
@@ -319,7 +321,7 @@ class Verifier:
         else:
             src_rows = []
             for row_exprs in q.source.rows:
-                src_rows.append(tuple(eval_expr(e, (), None) for e in row_exprs))
+                src_rows.append(tuple(eval_expr(e, ()) for e in row_exprs))
 
         new_tuples = []
         for r in src_rows:

@@ -1,0 +1,245 @@
+"""Joins: the binder and the hash equi-join against the brute-force oracle.
+
+Every case compares the engine's rows with ``brute_force_select`` as lists,
+so both the rows and their order (nested-loop order: by the first FROM
+item's primary key, then the second's, ...) must agree.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+
+import pytest
+
+from conftest import RandomDbGen, brute_force_select, normalize_raw, rows_to_raw
+from verity import storage
+from verity.errors import EvalError
+from verity.parser import parse
+from verity.rewriter import change_projection
+from verity.storage import Database, Scope
+
+DDL = """
+create table a (id integer, x integer, d decimal, s text, dt date, primary key (id));
+create table b (id integer, y integer, d decimal, s text, dt date, primary key (id));
+create table c (id integer, z integer, primary key (id));
+"""
+
+A_ROWS = (
+    "id,x,d,s,dt\n"
+    "1,1,1.00,p,1995-01-01\n"
+    "2,2,2.50,q,1996-06-15\n"
+    "3,1,,p,\n"
+    "4,,3,r,1995-01-01\n"
+    "5,3,2.5,,1997-02-03\n"
+)
+B_ROWS = (
+    "id,y,d,s,dt\n"
+    "10,1,1,p,1995-01-01\n"
+    "11,0,2.5,q,1995-01-01\n"
+    "12,1,,1995-01-01,1996-06-15\n"
+    "13,,3.000,p,\n"
+    "14,2,1.0,r,1997-02-03\n"
+)
+C_ROWS = "id,z\n20,1\n21,2\n22,1\n23,\n"
+
+
+def join_db() -> Database:
+    db = Database()
+    db.load_ddl(DDL)
+    db.load_csv("a", io.StringIO(A_ROWS))
+    db.load_csv("b", io.StringIO(B_ROWS))
+    db.load_csv("c", io.StringIO(C_ROWS))
+    return db
+
+
+def assert_matches_oracle(db: Database, sql: str, nonempty: bool = True):
+    q = parse(sql)
+    got = rows_to_raw(db.exec_select(q))
+    want = normalize_raw(brute_force_select(db, q))
+    assert got == want, sql
+    if nonempty:
+        assert got, f"case selects nothing: {sql}"
+
+
+def hash_keys(db: Database, sql: str) -> list[int]:
+    """Number of hash-join keys the planner gives each FROM item of ``sql``."""
+    q = parse(sql)
+    blocks, sources, off = [], [], 0
+    for item in q.from_items:
+        td = db.catalog.get(item.name)
+        blocks.append((item.binding, td.column_names(), off))
+        sources.append([])
+        off += len(td.columns)
+    return [len(s.inner_keys) for s in storage._plan(q.where, Scope(blocks), sources)]
+
+
+def test_duplicate_keys_on_both_sides():
+    # a.x = 1 twice, b.y = 1 twice, c.z = 1 twice: every pairing, in order
+    db = join_db()
+    sql = "select a.id, b.id from a, b where a.x = b.y"
+    assert_matches_oracle(db, sql)
+    assert rows_to_raw(db.exec_select(parse(sql))) == [
+        (1, 10), (1, 12), (2, 14), (3, 10), (3, 12),
+    ]
+    assert_matches_oracle(db, "select * from a, b, c where a.x = b.y and b.y = c.z")
+    assert hash_keys(db, "select * from a, b, c where a.x = b.y and b.y = c.z") == [0, 1, 1]
+
+
+def test_null_keys_never_match():
+    db = join_db()
+    sql = "select a.id, b.id from a, b where a.x = b.y"
+    rows = rows_to_raw(db.exec_select(parse(sql)))
+    assert all(r[0] != 4 and r[1] != 13 for r in rows)  # a.x, b.y NULL there
+    assert_matches_oracle(db, "select a.id, c.id from a, c where c.z = a.x")
+    assert_matches_oracle(db, "select * from a, b where a.d = b.d")
+
+
+def test_integer_equals_decimal_keys():
+    # 1 = 1.00 = 1.0, 2.50 = 2.5, 3 = 3.000
+    db = join_db()
+    assert_matches_oracle(db, "select a.id, b.id from a, b where a.x = b.d")
+    assert_matches_oracle(db, "select a.id, b.id from a, b where a.d = b.d")
+    rows = rows_to_raw(db.exec_select(parse("select a.id, b.id from a, b where a.d = b.d")))
+    assert (4, 13) in rows and (1, 14) in rows and (2, 11) in rows
+
+
+def test_text_and_date_keys():
+    db = join_db()
+    assert_matches_oracle(db, "select a.id, b.id from a, b where a.s = b.s")
+    assert_matches_oracle(db, "select a.id, b.id from a, b where a.dt = b.dt")
+    # TEXT meets DATE as '=' does: b.s holds the text '1995-01-01'
+    assert_matches_oracle(db, "select a.id, b.id from a, b where a.dt = b.s")
+
+
+def test_key_on_derived_table_column():
+    db = join_db()
+    assert_matches_oracle(
+        db, "select a.id, t.k from a, (select id as k, y from b) as t where t.y = a.x"
+    )
+    assert_matches_oracle(
+        db, "select * from (select x, id from a) as t, b where b.y = t.x and b.d > 0"
+    )
+    # the same through the widened query the verifier runs
+    q = parse("select a.id, t.k from a, (select id as k, y from b) as t where t.y = a.x")
+    wide = change_projection(q, db.catalog).wide_query
+    assert rows_to_raw(db.exec_select(wide)) == normalize_raw(brute_force_select(db, wide))
+
+
+def test_equality_against_an_expression():
+    db = join_db()
+    assert_matches_oracle(db, "select a.id, b.id from a, b where a.x = b.y + 1")
+    assert_matches_oracle(db, "select a.id, b.id from a, b where b.y * 2 = a.x + 1 - 1")
+    assert_matches_oracle(db, "select a.id, c.id from a, c where c.z = -a.x + 2")
+    assert hash_keys(db, "select * from a, b where a.x = b.y + 1") == [0, 1]
+
+
+def test_inequality_and_or_joins_stay_residual():
+    db = join_db()
+    for sql in (
+        "select a.id, b.id from a, b where a.x <> b.y",
+        "select a.id, b.id from a, b where a.x = b.y or a.s = b.s",
+        "select a.id, b.id from a, b where a.x < b.y and a.s like 'p%'",
+        "select a.id, b.id from a, b where a.x + b.y = 2",
+    ):
+        assert_matches_oracle(db, sql)
+        assert hash_keys(db, sql) == [0, 0], sql
+    # a hash key and a residual on the same binding
+    sql = "select a.id, b.id from a, b where a.x = b.y and a.s <> b.s"
+    assert_matches_oracle(db, sql)
+    assert hash_keys(db, sql) == [0, 1]
+
+
+def test_local_conjuncts_filter_before_the_join():
+    db = join_db()
+    assert_matches_oracle(
+        db, "select * from a, b, c where b.s like 'p%' and a.x = b.y and c.z = 1 and a.id < 4"
+    )
+    assert_matches_oracle(db, "select * from a, b where 1 = 2 and a.x = b.y", nonempty=False)
+
+
+def test_mixed_integer_text_equality_join_raises():
+    db = join_db()
+    with pytest.raises(EvalError):
+        db.exec_select(parse("select * from a, b where a.x = b.s"))
+    with pytest.raises(EvalError):
+        db.exec_select(parse("select * from a, b where b.s = a.x"))
+
+
+def test_scope_resolve_runs_per_statement_not_per_row(monkeypatch):
+    calls = []
+    resolve = Scope.resolve
+
+    def counting(self, table, column):
+        calls.append(column)
+        return resolve(self, table, column)
+
+    monkeypatch.setattr(Scope, "resolve", counting)
+
+    def resolves(n_rows: int, sql: str) -> int:
+        db = Database()
+        db.create_table("create table t (k integer, v integer, w text, primary key (k))")
+        db.load_csv("t", io.StringIO(
+            "k,v,w\n" + "".join(f"{i},{i % 7},w{i}\n" for i in range(n_rows))
+        ))
+        q = parse(sql)
+        wide = change_projection(q, db.catalog).wide_query
+        calls.clear()
+        assert len(db.exec_select(q)) == n_rows
+        assert len(db.exec_select(wide)) == n_rows
+        return len(calls)
+
+    for sql in ("select * from t", "select k, v + 1 from t where w like 'w%' or v = 99"):
+        assert resolves(10, sql) == resolves(1000, sql), sql
+
+
+def test_random_equi_joins_match_oracle():
+    rng = random.Random(0x4A01)
+    gen = RandomDbGen(seed=0x4A02)
+    checked = 0
+    for i in range(300):
+        db = gen.make_db(max_tables=3, max_rows=10)
+        tables = db.catalog.names()
+        if len(tables) < 2:
+            continue
+        picked = rng.sample(tables, rng.randint(2, len(tables)))
+        cols = []  # (FROM position, binding, column, key class)
+        from_parts = []
+        for j, t in enumerate(picked):
+            td = db.catalog.get(t)
+            if rng.random() < 0.25:
+                keep = [c.name for c in td.columns]
+                from_parts.append(f"(select {', '.join(keep)} from {t}) as v{j}")
+                binding = f"v{j}"
+            else:
+                from_parts.append(t)
+                binding = t
+            for c in td.columns:
+                cls = "text" if c.type.value == "text" else "num"
+                cols.append((j, binding, c.name, cls))
+        conds = []
+        for j in range(1, len(picked)):
+            inner = [c for c in cols if c[0] == j]
+            outer = [c for c in cols if c[0] < j]
+            _, b1, c1, cls = rng.choice(inner)
+            same = [c for c in outer if c[3] == cls]
+            if not same:
+                continue
+            _, b2, c2, _ = rng.choice(same)
+            lhs, rhs = f"{b1}.{c1}", f"{b2}.{c2}"
+            if cls == "num" and rng.random() < 0.3:
+                rhs += f" + {rng.randint(0, 2)}"
+            conds.append(f"{lhs} = {rhs}" if rng.random() < 0.5 else f"{rhs} = {lhs}")
+        if rng.random() < 0.5:
+            _, b, c, cls = rng.choice(cols)
+            conds.append(f"{b}.{c} <> 'x'" if cls == "text" else f"{b}.{c} >= 1")
+        rng.shuffle(conds)
+        sql = f"select * from {', '.join(from_parts)}"
+        if conds:
+            sql += " where " + " and ".join(conds)
+        q = parse(sql)
+        got = rows_to_raw(db.exec_select(q))
+        want = normalize_raw(brute_force_select(db, q))
+        assert got == want, f"case {i}: {sql}"
+        checked += bool(want)
+    assert checked >= 50  # cases that select something

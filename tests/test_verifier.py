@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+import verity.verifier
 from conftest import make_t123, make_verified, rows_to_raw
 from verity.errors import (
     DuplicatePrimaryKey,
@@ -88,6 +89,23 @@ def test_self_join_checks_each_row_once():
     )
     assert len(rows) == 2
     assert report.tuples_checked == 2  # distinct row ids, not 4
+
+
+def test_join_fingerprints_each_distinct_row_once(monkeypatch):
+    db = Database()
+    db.load_ddl("create table c (k integer, primary key (k));"
+                "create table o (k integer, ck integer, primary key (k))")
+    db.load_csv("c", io.StringIO("k\n1\n2\n"))
+    db.load_csv("o", io.StringIO("k,ck\n10,1\n11,1\n12,1\n13,2\n"))
+    _, verifier = make_verified(db)
+    fingerprinted = []
+    fingerprint = verity.verifier.fingerprint
+    monkeypatch.setattr(verity.verifier, "fingerprint",
+                        lambda rid, tup: fingerprinted.append(rid) or fingerprint(rid, tup))
+    rows, report = verifier.process("select * from o, c where o.ck = c.k")
+    assert len(rows) == 4
+    assert (report.tuples_seen, report.tuples_checked) == (8, 6)
+    assert sorted(fingerprinted) == sorted(set(fingerprinted)) and len(fingerprinted) == 6
 
 
 def test_tampered_row_detected_and_rows_withheld(t123_db):
