@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from .bench import parse_queries_file, run_bench
 from .errors import TamperDetected, VerityError
 from .ledger import SimulatedLedger, generate_peers, load_peers, save_peers
-from .sqlast import QueryKind
 from .storage import Database, iter_csv
 from .values import NULL, Value, ValueType, parse_typed, render_value
 from .verifier import MutationSummary, Verifier
@@ -249,21 +248,9 @@ def _exec_one(session: Session, sql: str) -> int:
             + (f", block {payload.block_height}" if payload.block_height is not None else "")
         )
     else:
-        names = _output_names(session, sql)
-        print_rows(payload, names, cfg.output)
+        print_rows(payload, report.columns, cfg.output)
     print_report(report, cfg.output)
     return EXIT_OK
-
-
-def _output_names(session: Session, sql: str) -> list[str]:
-    from .parser import parse
-    from .rewriter import change_projection
-    from .sqlast import classify
-
-    q = parse(sql)
-    if classify(q) is not QueryKind.SELECT:
-        return []
-    return change_projection(q, session.db.catalog).output_names
 
 
 def cmd_exec(args) -> int:

@@ -441,9 +441,6 @@ class SimulatedLedger(LedgerInterface):
         out.sort(key=lambda r: (r.table, r.row_id))
         return out
 
-    def known_tables(self) -> list[str]:
-        return sorted(self._counts)
-
     @property
     def head_height(self) -> int:
         return len(self._entries) - 1
@@ -459,11 +456,11 @@ class SimulatedLedger(LedgerInterface):
 
         payloads = [draft_bytes(d) for d in drafts]
 
-        # every peer re-validates the batch against its view of the world
-        # state and endorses each draft it accepts
+        # the peers share one world state, so the batch is validated once;
+        # then every peer endorses each draft
+        self._validate_batch(drafts)
         endorsements: list[list[tuple[str, bytes]]] = [[] for _ in drafts]
         for p in self.peers:
-            self._validate_batch(drafts)
             for i, payload in enumerate(payloads):
                 endorsements[i].append((p.peer_id, p.sign(payload)))
 

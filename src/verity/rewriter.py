@@ -16,15 +16,22 @@ query: they are re-appended, aliased, after the base columns.
 Aggregates are supported only in the outermost projection; the wide query
 never collapses rows, which is exactly what lets every contributing base
 tuple be fingerprint-checked.
+
+Names are resolved by ``storage.Scope``, the engine's own resolver: each
+level builds one ``Scope`` over the wide positions its FROM items expose,
+and ``storage.map_columns`` rewrites its column references, qualified for
+the wide query and positional for ``project_results``. The wide query stays
+plain SQL, so any engine that runs the subset can run it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from . import sqlast as ast
-from .errors import AmbiguousColumn, UnknownColumn, UnknownTable, UnsupportedFeature
-from .storage import Catalog, Row, TableDef, Tuple, project_rows
+from .errors import UnsupportedFeature
+from .storage import Catalog, Row, Scope, TableDef, Tuple, map_columns, project_rows
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,6 @@ class RewrittenSelect:
     original_projection: list[tuple]  # (bound expr, output name)
 
     @property
-    def table_list(self) -> list[tuple[str, tuple[str, ...]]]:
-        return [(e.table, e.alias_path) for e in self.column_map]
-
-    @property
     def output_names(self) -> list[str]:
         return [name for _, name in self.original_projection]
 
@@ -61,18 +64,7 @@ class RewrittenSelect:
 def change_projection(q: ast.SelectQuery, catalog: Catalog) -> RewrittenSelect:
     """Widen ``q`` bottom-up and map its original projection onto the wide result."""
     level = _widen(q, catalog, as_derived=False)
-    original = []
-    for i, item in enumerate(q.projections):
-        if isinstance(item.expr, ast.Star):
-            for name, idx in _visible_in_order(level):
-                original.append((ast.BoundCol(idx), name))
-            continue
-        bound = _bind_expr(item.expr, level)
-        name = item.alias or (
-            item.expr.column if isinstance(item.expr, ast.ColumnRef) else f"expr_{i}"
-        )
-        original.append((bound, name))
-    return RewrittenSelect(level.wide, level.exposures, original)
+    return RewrittenSelect(level.wide, level.exposures, level.outputs)
 
 
 def tuples_of(wide_row: Row, exposure: TableExposure) -> Tuple:
@@ -93,206 +85,74 @@ def project_results(wide_rows: list[Row], rw: RewrittenSelect) -> list[Row]:
 
 @dataclass
 class _Level:
-    """Bookkeeping for one widened SELECT."""
+    """One widened SELECT."""
 
-    wide: ast.SelectQuery | None = None
-    exposures: list[TableExposure] = field(default_factory=list)
-    out_names: list[str] = field(default_factory=list)
-    # binding -> original visible name -> wide positions
-    visible: dict[str, dict[str, list[int]]] = field(default_factory=dict)
-    # binding -> [(visible name, wide idx)] in the order the user sees them
-    # (schema order for base tables, original projection order for derived)
-    visible_order: dict[str, list] = field(default_factory=dict)
-    binding_order: list[str] = field(default_factory=list)
-    # per wide position: owning binding and the name the child exposes there
-    pos_binding: list[str] = field(default_factory=list)
-    pos_child_name: list[str] = field(default_factory=list)
-    # this level's original output, as (name, wide idx), for the parent query
-    orig_outputs: list[tuple[str, int]] = field(default_factory=list)
-
-    def resolve_original(self, table: str | None, column: str) -> int:
-        if table is not None:
-            if table not in self.visible:
-                raise UnknownTable(f"no table or alias {table!r} in this query")
-            hits = self.visible[table].get(column, [])
-            if not hits:
-                raise UnknownColumn(f"{table!r} has no column {column!r}")
-            if len(hits) > 1:
-                raise AmbiguousColumn(f"{table}.{column} matches several columns")
-            return hits[0]
-        hits = []
-        for b in self.binding_order:
-            hits.extend(self.visible[b].get(column, []))
-        if not hits:
-            raise UnknownColumn(f"no column {column!r} in this query")
-        if len(hits) > 1:
-            raise AmbiguousColumn(f"column {column!r} is ambiguous")
-        return hits[0]
-
-
-def _visible_in_order(level: _Level) -> list[tuple[str, int]]:
-    """All originally-visible (name, wide idx) pairs, in the order a star
-    projection must produce them."""
-    pairs = []
-    for b in level.binding_order:
-        pairs.extend(level.visible_order[b])
-    return pairs
+    wide: ast.SelectQuery
+    exposures: list[TableExposure]
+    # the original projection over the wide row, as (bound expr, output name);
+    # in derived position every expr is a BoundCol, the position a parent reads
+    outputs: list[tuple]
 
 
 def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> _Level:
-    level = _Level()
-    new_from: list = []
-    # mangle base: alias path + table for base columns (None for derived pass-through)
-    mangle_base: list[tuple[str, ...] | None] = []
-    offset = 0
-
+    blocks: list = []      # the Scope blocks of the names the user's query sees
+    refs: list = []        # per wide position: the ColumnRef that reads it
+    mangled: list = []     # per wide position: its name should it collide
+    exposures: list = []
+    from_items: list = []
     for item in q.from_items:
+        off = len(refs)
         if isinstance(item, ast.BaseTable):
             td = catalog.get(item.name)
-            binding = item.binding
             names = td.column_names()
-            level.exposures.append(
-                TableExposure(td.name, (binding,), offset, offset + len(names), td)
-            )
-            vis: dict[str, list[int]] = {}
-            for i, n in enumerate(names):
-                vis.setdefault(n, []).append(offset + i)
-                level.pos_binding.append(binding)
-                level.pos_child_name.append(n)
-                mangle_base.append((binding, td.name, n))
-            level.visible[binding] = vis
-            level.visible_order[binding] = [(n, offset + i) for i, n in enumerate(names)]
-            level.binding_order.append(binding)
-            new_from.append(item)
-            offset += len(names)
+            exposures.append(TableExposure(td.name, (item.binding,), off, off + len(names), td))
+            blocks.append((item.binding, [(n, off + i) for i, n in enumerate(names)]))
+            mangled += ["__".join((item.binding, td.name, n)) for n in names]
+            from_items.append(item)
         else:
             child = _widen(item.subquery, catalog, as_derived=True)
-            binding = item.alias
-            for e in child.exposures:
-                level.exposures.append(
-                    TableExposure(
-                        e.table, (binding,) + e.alias_path,
-                        offset + e.start, offset + e.stop, e.tabledef,
-                    )
-                )
-            vis = {}
-            for name, idx in child.orig_outputs:
-                vis.setdefault(name, []).append(offset + idx)
-            level.visible[binding] = vis
-            level.visible_order[binding] = [
-                (name, offset + idx) for name, idx in child.orig_outputs
+            exposures += [
+                TableExposure(e.table, (item.alias,) + e.alias_path,
+                              off + e.start, off + e.stop, e.tabledef)
+                for e in child.exposures
             ]
-            level.binding_order.append(binding)
-            for n in child.out_names:
-                level.pos_binding.append(binding)
-                level.pos_child_name.append(n)
-                mangle_base.append(None)
-            new_from.append(ast.DerivedTable(child.wide, binding))
-            offset += len(child.out_names)
+            blocks.append((item.alias, [(n, off + b.index) for b, n in child.outputs]))
+            names = [ast.output_name(p, i) for i, p in enumerate(child.wide.projections)]
+            mangled += [f"{item.alias}__{n}" for n in names]
+            from_items.append(ast.DerivedTable(child.wide, item.alias))
+        refs += [ast.ColumnRef(item.binding, n) for n in names]
+    scope = Scope(blocks)
 
-    if len(set(level.binding_order)) != len(level.binding_order):
-        raise AmbiguousColumn("duplicate FROM binding")
+    def requalify(node):
+        return map_columns(node, lambda c: refs[scope.resolve(c.table, c.column)])
 
-    # Original projection bookkeeping; expression outputs become extra wide
-    # columns when this query sits in derived position.
-    extras: list[tuple] = []  # (requalified expr, out name)
+    # WHERE first, then the projection: the order in which the engine binds
+    where = requalify(q.where) if q.where is not None else None
+
+    # In derived position, expression outputs become extra wide columns, so
+    # that the enclosing query can read them.
+    outputs: list[tuple] = []
+    extras: list[tuple] = []  # (requalified expr, output name)
     for i, item in enumerate(q.projections):
         if isinstance(item.expr, ast.Star):
-            level.orig_outputs.extend(_visible_in_order(level))
+            outputs += [(ast.BoundCol(pos), n) for n, pos in scope.all_columns()]
             continue
-        name = item.alias or (
-            item.expr.column if isinstance(item.expr, ast.ColumnRef) else f"expr_{i}"
-        )
-        if isinstance(item.expr, ast.ColumnRef):
-            idx = level.resolve_original(item.expr.table, item.expr.column)
-            level.orig_outputs.append((name, idx))
-            continue
-        if as_derived:
+        name = ast.output_name(item, i)
+        if as_derived and not isinstance(item.expr, ast.ColumnRef):
             if ast.expr_has_aggregate(item.expr):
                 raise UnsupportedFeature("aggregate inside a nested subquery")
-            bound = _requalify_expr(item.expr, level)
-            level.orig_outputs.append((name, offset + len(extras)))
-            extras.append((bound, name))
+            outputs.append((ast.BoundCol(len(refs) + len(extras)), name))
+            extras.append((requalify(item.expr), name))
         else:
-            # outermost level: the original projection is evaluated over the
-            # wide rows by project_results; no extra column needed
-            level.orig_outputs.append((name, -1))
+            outputs.append((scope.bind(item.expr), name))
 
-    # resolve output-name collisions (only observable in derived position)
-    names_all = level.pos_child_name + [n for _, n in extras]
-    renames: dict[int, str] = {}
-    if as_derived:
-        counts: dict[str, int] = {}
-        for n in names_all:
-            counts[n] = counts.get(n, 0) + 1
-        for ci, name in enumerate(level.pos_child_name):
-            if counts[name] > 1:
-                mb = mangle_base[ci]
-                renames[ci] = "__".join(mb) if mb else f"{level.pos_binding[ci]}__{name}"
-        for ei, (_, name) in enumerate(extras):
-            if counts[name] > 1:
-                renames[len(level.pos_child_name) + ei] = f"{name}__x{ei}"
-
-    wide_items: list[ast.ProjectionItem] = []
-    for ci, name in enumerate(level.pos_child_name):
-        alias = renames.get(ci)
-        wide_items.append(
-            ast.ProjectionItem(ast.ColumnRef(level.pos_binding[ci], name), alias)
-        )
-        level.out_names.append(alias or name)
-    for ei, (expr, name) in enumerate(extras):
-        alias = renames.get(len(level.pos_child_name) + ei) or name
-        wide_items.append(ast.ProjectionItem(expr, alias))
-        level.out_names.append(alias)
-        level.pos_binding.append("")
-        level.pos_child_name.append(alias)
-
-    new_where = _requalify_predicate(q.where, level) if q.where is not None else None
-    level.wide = ast.SelectQuery(tuple(wide_items), tuple(new_from), new_where)
-    return level
-
-
-def _locate(level: _Level, wide_idx: int) -> tuple[str, str]:
-    """(binding, exposed child name) addressing a wide column of this level."""
-    return level.pos_binding[wide_idx], level.pos_child_name[wide_idx]
-
-
-def _requalify_expr(e, level: _Level):
-    """Rewrite column refs into qualified refs against the widened children."""
-    if isinstance(e, ast.ColumnRef):
-        idx = level.resolve_original(e.table, e.column)
-        binding, name = _locate(level, idx)
-        return ast.ColumnRef(binding, name)
-    if isinstance(e, ast.BinaryOp):
-        return ast.BinaryOp(e.op, _requalify_expr(e.left, level), _requalify_expr(e.right, level))
-    if isinstance(e, ast.UnaryMinus):
-        return ast.UnaryMinus(_requalify_expr(e.operand, level))
-    if isinstance(e, ast.Aggregate):
-        arg = None if e.arg is None else _requalify_expr(e.arg, level)
-        return ast.Aggregate(e.func, arg)
-    return e
-
-
-def _requalify_predicate(p, level: _Level):
-    if isinstance(p, ast.Comparison):
-        return ast.Comparison(p.op, _requalify_expr(p.left, level), _requalify_expr(p.right, level))
-    if isinstance(p, ast.LikePredicate):
-        return ast.LikePredicate(_requalify_expr(p.expr, level), p.pattern, p.negated)
-    if isinstance(p, ast.And):
-        return ast.And(_requalify_predicate(p.left, level), _requalify_predicate(p.right, level))
-    if isinstance(p, ast.Or):
-        return ast.Or(_requalify_predicate(p.left, level), _requalify_predicate(p.right, level))
-    return p
-
-
-def _bind_expr(e, level: _Level):
-    """Replace column refs with wide-row positions (for project_results)."""
-    if isinstance(e, ast.ColumnRef):
-        return ast.BoundCol(level.resolve_original(e.table, e.column))
-    if isinstance(e, ast.BinaryOp):
-        return ast.BinaryOp(e.op, _bind_expr(e.left, level), _bind_expr(e.right, level))
-    if isinstance(e, ast.UnaryMinus):
-        return ast.UnaryMinus(_bind_expr(e.operand, level))
-    if isinstance(e, ast.Aggregate):
-        return ast.Aggregate(e.func, None if e.arg is None else _bind_expr(e.arg, level))
-    return e
+    # colliding output names get renamed; only an enclosing query sees them
+    counts = Counter([r.column for r in refs] + [n for _, n in extras] if as_derived else [])
+    wide_items = [
+        ast.ProjectionItem(ref, m if counts[ref.column] > 1 else None)
+        for ref, m in zip(refs, mangled)
+    ] + [
+        ast.ProjectionItem(e, f"{n}__x{ei}" if counts[n] > 1 else n)
+        for ei, (e, n) in enumerate(extras)
+    ]
+    return _Level(ast.SelectQuery(tuple(wide_items), tuple(from_items), where), exposures, outputs)

@@ -55,7 +55,7 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class BoundCol:
-    """Column reference resolved to a wide-result position (rewriter internal)."""
+    """Column reference resolved by ``storage.Scope`` to a position in a row."""
     index: int
 
 
@@ -104,6 +104,16 @@ class Star:
 class ProjectionItem:
     expr: Expr | Star
     alias: str | None = None
+
+
+def output_name(item: ProjectionItem, i: int) -> str:
+    """Name of the ``i``-th output column: the item's alias, else the name of
+    the column it projects, else ``expr_<i>``."""
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ColumnRef):
+        return item.expr.column
+    return f"expr_{i}"
 
 
 @dataclass(frozen=True)

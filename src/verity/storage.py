@@ -3,7 +3,9 @@ the supported SQL subset, and CSV ingestion.
 
 A SELECT runs in three steps. Derived tables are materialized first. A
 binder pass then resolves every column name once, to a position in the
-joined row, and gives each WHERE conjunct to the deepest FROM item it reads:
+joined row, through ``Scope``: the one resolver of column names in queries,
+which the rewriter uses too, so both reject a bad name with the same error.
+The binder also gives each WHERE conjunct to the deepest FROM item it reads:
 conjuncts over one item filter that item's rows once; an ``=`` between an
 expression over an item and one over earlier items becomes a hash-join key
 (the item's filtered rows are hashed on it and probed by each earlier row);
@@ -230,30 +232,31 @@ def _pk_sort_key(pk: tuple):
 # --- binding -----------------------------------------------------------------
 
 class Scope:
-    """Name-resolution environment over a list of bound row sources."""
+    """The one resolver of column names in queries, over the FROM items of
+    one SELECT.
 
-    def __init__(self, blocks: list[tuple[str, list[str], int]]):
-        # blocks: (binding, column names, global offset)
+    Each block is ``(binding, [(name, position), ...])``: the names a FROM
+    item makes visible, in star-expansion order, and the positions in the
+    row they stand for. ``Database`` binds names to positions in its joined
+    rows; the rewriter binds them to positions in the wide row, where a
+    derived table's visible names need not be contiguous.
+    """
+
+    def __init__(self, blocks: list[tuple[str, list[tuple[str, int]]]]):
         self.blocks = blocks
-        self.by_binding = {b: (names, off) for b, names, off in blocks}
-        self.width = sum(len(names) for _, names, _ in blocks)
+        self.by_binding = dict(blocks)
 
     def resolve(self, table: str | None, column: str) -> int:
         if table is not None:
             if table not in self.by_binding:
                 raise UnknownTable(f"no table or alias {table!r} in scope")
-            names, off = self.by_binding[table]
-            hits = [i for i, n in enumerate(names) if n == column]
+            hits = [pos for n, pos in self.by_binding[table] if n == column]
             if not hits:
                 raise UnknownColumn(f"{table!r} has no column {column!r}")
             if len(hits) > 1:
                 raise AmbiguousColumn(f"{table}.{column} matches several columns")
-            return off + hits[0]
-        hits = []
-        for b, names, off in self.blocks:
-            for i, n in enumerate(names):
-                if n == column:
-                    hits.append(off + i)
+            return hits[0]
+        hits = [pos for _, cols in self.blocks for n, pos in cols if n == column]
         if not hits:
             raise UnknownColumn(f"no column {column!r} in scope")
         if len(hits) > 1:
@@ -261,19 +264,21 @@ class Scope:
         return hits[0]
 
     def all_columns(self) -> list[tuple[str, int]]:
-        out = []
-        for _, names, off in self.blocks:
-            out.extend((n, off + i) for i, n in enumerate(names))
-        return out
+        """Every visible (name, position), in the order ``*`` expands to."""
+        return [col for _, cols in self.blocks for col in cols]
 
     def bind(self, node):
-        """``node`` with every column reference resolved to its position."""
+        """``node`` ready to evaluate: every column reference resolved to its
+        position and every LIKE pattern compiled."""
         def leaf(c):
             if isinstance(c, ast.BoundCol):
                 return c
             return ast.BoundCol(self.resolve(c.table, c.column))
 
-        return _map_columns(node, leaf)
+        def like(p, expr):
+            return _Like(expr, _like_regex(p.pattern), p.negated)
+
+        return map_columns(node, leaf, like)
 
 
 @dataclass(frozen=True)
@@ -284,40 +289,45 @@ class _Like:
     negated: bool
 
 
-def _map_columns(node, leaf):
+def map_columns(node, leaf, like=None):
     """Copy of an expression or predicate with every column (``ColumnRef`` or
-    ``BoundCol``) replaced by ``leaf(column)`` and every LIKE compiled."""
-    if isinstance(node, (ast.ColumnRef, ast.BoundCol)):
-        return leaf(node)
-    if isinstance(node, ast.BinaryOp):
-        return ast.BinaryOp(node.op, _map_columns(node.left, leaf), _map_columns(node.right, leaf))
-    if isinstance(node, ast.UnaryMinus):
-        return ast.UnaryMinus(_map_columns(node.operand, leaf))
-    if isinstance(node, ast.Aggregate):
-        return node if node.arg is None else ast.Aggregate(node.func, _map_columns(node.arg, leaf))
-    if isinstance(node, ast.Comparison):
-        return ast.Comparison(
-            node.op, _map_columns(node.left, leaf), _map_columns(node.right, leaf)
-        )
-    if isinstance(node, ast.LikePredicate):
-        return _Like(_map_columns(node.expr, leaf), _like_regex(node.pattern), node.negated)
-    if isinstance(node, _Like):
-        return _Like(_map_columns(node.expr, leaf), node.regex, node.negated)
-    if isinstance(node, (ast.And, ast.Or)):
-        return type(node)(_map_columns(node.left, leaf), _map_columns(node.right, leaf))
-    return node
+    ``BoundCol``) replaced by ``leaf(column)``. A LIKE predicate stays SQL
+    unless ``like`` is given, when it becomes ``like(predicate, mapped
+    operand)``."""
+    def walk(node):
+        if isinstance(node, (ast.ColumnRef, ast.BoundCol)):
+            return leaf(node)
+        if isinstance(node, ast.BinaryOp):
+            return ast.BinaryOp(node.op, walk(node.left), walk(node.right))
+        if isinstance(node, ast.UnaryMinus):
+            return ast.UnaryMinus(walk(node.operand))
+        if isinstance(node, ast.Aggregate):
+            return node if node.arg is None else ast.Aggregate(node.func, walk(node.arg))
+        if isinstance(node, ast.Comparison):
+            return ast.Comparison(node.op, walk(node.left), walk(node.right))
+        if isinstance(node, ast.LikePredicate):
+            if like is not None:
+                return like(node, walk(node.expr))
+            return ast.LikePredicate(walk(node.expr), node.pattern, node.negated)
+        if isinstance(node, _Like):
+            return _Like(walk(node.expr), node.regex, node.negated)
+        if isinstance(node, (ast.And, ast.Or)):
+            return type(node)(walk(node.left), walk(node.right))
+        return node
+
+    return walk(node)
 
 
 def _columns(node) -> set[int]:
     """Positions of the bound columns ``node`` reads."""
     out: set[int] = set()
-    _map_columns(node, lambda c: out.add(c.index) or c)
+    map_columns(node, lambda c: out.add(c.index) or c)
     return out
 
 
 def _shift(node, offset: int):
     """Bound ``node`` re-addressed to rows that start at wide position ``offset``."""
-    return _map_columns(node, lambda c: ast.BoundCol(c.index - offset))
+    return map_columns(node, lambda c: ast.BoundCol(c.index - offset))
 
 
 def _like_regex(pattern: str) -> re.Pattern:
@@ -468,7 +478,9 @@ def _plan(where, scope: Scope, sources: list[list[Row]]) -> list[_Step]:
     reads: as a filter of that binding's rows when it reads no other, as a
     hash-join key when it equates an expression over that binding with one
     over earlier bindings, as a residual predicate otherwise."""
-    depth_of = [d for d, (_, names, _) in enumerate(scope.blocks) for _ in names]
+    # each block's positions are contiguous, from its first
+    start = [cols[0][1] for _, cols in scope.blocks]
+    depth_of = [d for d, (_, cols) in enumerate(scope.blocks) for _ in cols]
 
     def depths(node) -> set[int]:
         return {depth_of[i] for i in _columns(node)}
@@ -478,7 +490,7 @@ def _plan(where, scope: Scope, sources: list[list[Row]]) -> list[_Step]:
         bound = scope.bind(conj)
         read = depths(bound)
         d = max(read, default=0)
-        step, off = steps[d], scope.blocks[d][2]
+        step, off = steps[d], start[d]
         if read <= {d}:
             step.local.append(_shift(bound, off))
             continue
@@ -641,9 +653,6 @@ class Database:
     def has_row(self, table: str, pk: tuple) -> bool:
         return tuple(pk) in self._table(table).rows
 
-    def pk_of(self, tup: Tuple) -> tuple:
-        return self._table(tup.table).pk_of(tup.values)
-
     def exec_select(self, q: ast.SelectQuery) -> list[Row]:
         return self._select(q)[1]
 
@@ -657,13 +666,13 @@ class Database:
                 names, rows = t.d.column_names(), t.sorted_rows()
             else:
                 names, rows = self._select(item.subquery)
-            blocks.append((item.binding, names, off))
+            blocks.append((item.binding, [(n, off + i) for i, n in enumerate(names)]))
             sources.append(rows)
             off += len(names)
         scope = Scope(blocks)
         steps = _plan(q.where, scope, sources)
         names, exprs = _outputs(q.projections, scope)
-        return names, project_rows(exprs, _join(steps), scope.width)
+        return names, project_rows(exprs, _join(steps), off)
 
     # verified-pipeline mutations
 
@@ -725,12 +734,7 @@ def _outputs(items, scope: Scope) -> tuple[list[str], list]:
                 exprs.append(ast.BoundCol(idx))
             continue
         exprs.append(scope.bind(item.expr))
-        if item.alias:
-            names.append(item.alias)
-        elif isinstance(item.expr, ast.ColumnRef):
-            names.append(item.expr.column)
-        else:
-            names.append(f"expr_{i}")
+        names.append(ast.output_name(item, i))
     return names, exprs
 
 

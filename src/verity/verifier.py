@@ -67,6 +67,7 @@ class VerificationReport:
     elapsed: dict
     outcome: str  # "verified" | "tampered"
     alerts: list = field(default_factory=list)
+    columns: list[str] = field(default_factory=list)  # a SELECT's output names
 
     @property
     def end_to_end(self) -> float:
@@ -98,8 +99,8 @@ class MissingRow:
 class _Ctx:
     """Per-statement accumulator: timings, distinct verified row ids, alerts."""
 
-    def __init__(self, query_text: str, clock, kind=None):
-        self.kind = kind
+    def __init__(self, query_text: str, clock):
+        self.kind = None
         self.elapsed = {p: 0.0 for p in PHASES}
         self.checked: set[str] = set()
         self.seen = 0
@@ -171,8 +172,8 @@ class Verifier:
         kind = classify(q)
         ctx.kind = kind
         if kind is QueryKind.SELECT:
-            rows, _ = self._select(q, ctx)
-            return rows, self._report(kind, ctx)
+            rows, rw = self._select(q, ctx)
+            return rows, self._report(kind, ctx, columns=rw.output_names)
         principal = principal or self.principal
         if kind is QueryKind.UPDATE:
             summary = self._update(q, ctx, principal)
@@ -181,26 +182,6 @@ class Verifier:
         else:
             summary = self._delete(q, ctx, principal)
         return summary, self._report(kind, ctx)
-
-    def verified_select(self, q: ast.SelectQuery):
-        ctx = _Ctx(ast.render(q), self.clock, QueryKind.SELECT)
-        rows, _ = self._select(q, ctx)
-        return rows, self._report(QueryKind.SELECT, ctx)
-
-    def verified_update(self, q: ast.UpdateQuery, principal: str | None = None):
-        ctx = _Ctx(ast.render(q), self.clock, QueryKind.UPDATE)
-        summary = self._update(q, ctx, principal or self.principal)
-        return summary, self._report(QueryKind.UPDATE, ctx)
-
-    def verified_insert(self, q: ast.InsertQuery, principal: str | None = None):
-        ctx = _Ctx(ast.render(q), self.clock, QueryKind.INSERT)
-        summary = self._insert(q, ctx, principal or self.principal)
-        return summary, self._report(QueryKind.INSERT, ctx)
-
-    def verified_delete(self, q: ast.DeleteQuery, principal: str | None = None):
-        ctx = _Ctx(ast.render(q), self.clock, QueryKind.DELETE)
-        summary = self._delete(q, ctx, principal or self.principal)
-        return summary, self._report(QueryKind.DELETE, ctx)
 
     # --- the verified SELECT pipeline ----------------------------------------
 
@@ -220,13 +201,9 @@ class Verifier:
                         continue
                     ctx.checked.add(rid)
                     fp = fingerprint(rid, tuples_of(row, exposure))
-                    rec = self.ledger.get_current(rid)
-                    if rec is None:
-                        self._alert(ctx, rid, exposure.table, "ABSENT", fp)
-                    elif rec.status != "active":
-                        self._alert(ctx, rid, exposure.table, "DELETED", fp)
-                    elif rec.fingerprint != fp:
-                        self._alert(ctx, rid, exposure.table, rec.fingerprint, fp)
+                    expected = self._check(rid, fp)
+                    if expected is not None:
+                        self._alert(ctx, rid, exposure.table, expected, fp)
         if ctx.alerts:
             self._raise_tampered(ctx)
         with _Timer(ctx, "db_exec"):
@@ -262,7 +239,7 @@ class Verifier:
 
         old_rows, _ = self._select(self._select_star(q.table, q.where), ctx)
 
-        scope = Scope([(td.name, td.column_names(), 0)])
+        scope = Scope([(td.name, [(n, i) for i, n in enumerate(td.column_names())])])
         bound = {i: scope.bind(a.value) for i, a in enumerate(q.assignments)
                  if i not in scalar_values}
         drafts = []
@@ -411,13 +388,9 @@ class Verifier:
             for tup in self.db.rows_of(table):
                 rid, fp = fingerprint_tuple(tup, td.pk_indices)
                 seen.add(rid)
-                rec = self.ledger.get_current(rid)
-                if rec is None:
-                    alerts.append(TamperAlert(rid, table, "ABSENT", fp, qh, now))
-                elif rec.status != "active":
-                    alerts.append(TamperAlert(rid, table, "DELETED", fp, qh, now))
-                elif rec.fingerprint != fp:
-                    alerts.append(TamperAlert(rid, table, rec.fingerprint, fp, qh, now))
+                expected = self._check(rid, fp)
+                if expected is not None:
+                    alerts.append(TamperAlert(rid, table, expected, fp, qh, now))
             for rec in self.ledger.scan_active(table):
                 if rec.row_id not in seen:
                     missing.append(MissingRow(rec.row_id, table))
@@ -434,6 +407,19 @@ class Verifier:
             (ast.BaseTable(table, None),),
             where,
         )
+
+    def _check(self, rid: str, fp: str) -> str | None:
+        """None when the ledger holds ``fp`` as row ``rid``'s active
+        fingerprint; otherwise what the ledger expected, for the alert:
+        "ABSENT", "DELETED" or its fingerprint."""
+        rec = self.ledger.get_current(rid)
+        if rec is None:
+            return "ABSENT"
+        if rec.status != "active":
+            return "DELETED"
+        if rec.fingerprint != fp:
+            return rec.fingerprint
+        return None
 
     def _commit(self, ctx: _Ctx, drafts, principal: str) -> int | None:
         if not drafts:
@@ -453,7 +439,8 @@ class Verifier:
         self._log_alerts(ctx.alerts)
         raise TamperDetected(ctx.alerts, report)
 
-    def _report(self, kind, ctx: _Ctx, outcome: str = "verified") -> VerificationReport:
+    def _report(self, kind, ctx: _Ctx, outcome: str = "verified",
+                columns: list[str] | None = None) -> VerificationReport:
         return VerificationReport(
             query_kind=kind,
             tables_touched=list(ctx.tables),
@@ -464,6 +451,7 @@ class Verifier:
             elapsed=dict(ctx.elapsed),
             outcome=outcome,
             alerts=list(ctx.alerts),
+            columns=columns or [],
         )
 
     def _log_alerts(self, alerts):

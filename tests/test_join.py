@@ -68,7 +68,7 @@ def hash_keys(db: Database, sql: str) -> list[int]:
     blocks, sources, off = [], [], 0
     for item in q.from_items:
         td = db.catalog.get(item.name)
-        blocks.append((item.binding, td.column_names(), off))
+        blocks.append((item.binding, [(n, off + i) for i, n in enumerate(td.column_names())]))
         sources.append([])
         off += len(td.columns)
     return [len(s.inner_keys) for s in storage._plan(q.where, Scope(blocks), sources)]

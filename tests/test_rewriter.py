@@ -50,8 +50,8 @@ def test_golden_nested_rewrite():
     inner = rw.wide_query.from_items[1].subquery
     assert projection_pairs(inner) == [("t2", "a"), ("t2", "s"), ("t2", "b")]
     assert rw.wide_query.where == q.where
-    # table list covers the nested base table through its alias path
-    assert rw.table_list == [
+    # the column map covers the nested base table through its alias path
+    assert [(e.table, e.alias_path) for e in rw.column_map] == [
         ("t1", ("t1",)), ("t2", ("r1", "t2")), ("t3", ("t3",)),
     ]
 
@@ -165,26 +165,51 @@ def test_unknown_table_and_column_errors():
         change_projection(parse("select b from t2, t3"), db.catalog)
 
 
+@pytest.mark.parametrize("sql, error", [
+    ("select * from nosuch", UnknownTable),
+    ("select t9.a from t1", UnknownTable),
+    ("select t1.zzz from t1", UnknownColumn),
+    ("select t1.a from t1 where zzz = 1", UnknownColumn),
+    ("select b from t2, t3", AmbiguousColumn),
+    ("select t1.a from t1, t2 where a = 7", AmbiguousColumn),
+    ("select r.s from (select a, b from t2) as r", UnknownColumn),
+    ("select * from (select a from t2) as r where r.b = 1", UnknownColumn),
+])
+def test_rewriter_and_engine_reject_bad_names_alike(sql, error):
+    db = make_t123()
+    q = parse(sql)
+    with pytest.raises(error):
+        change_projection(q, db.catalog)
+    with pytest.raises(error):
+        db.exec_select(q)
+
+
 def test_derived_alias_rename_on_collision():
     # nation joined to itself inside one derived table: both sides expose the
     # same column names, so the widened subquery must disambiguate
     db = Database()
     db.create_table("create table nation (n_nationkey integer, n_name text, "
                     "primary key (n_nationkey))")
-    q = parse("select r.n1__nation__n_name from "
+    db.load_csv("nation", io.StringIO("n_nationkey,n_name\n1,ALGERIA\n2,BRAZIL\n"))
+    q = parse("select r.n_name from "
               "(select n1.n_name from (nation as n1), (nation as n2) "
               "where n1.n_nationkey = n2.n_nationkey) as r")
+    rw = change_projection(q, db.catalog)
     # the inner wide query renames every colliding output
-    rw = change_projection(
-        parse("select * from (select n1.n_name from (nation as n1), (nation as n2)) as r"),
-        db.catalog,
-    )
     inner = rw.wide_query.from_items[0].subquery
     aliases = [item.alias for item in inner.projections]
     assert aliases[:4] == [
         "n1__nation__n_nationkey", "n1__nation__n_name",
         "n2__nation__n_nationkey", "n2__nation__n_name",
     ]
+    rows = project_results(db.exec_select(rw.wide_query), rw)
+    assert rows_to_raw(rows) == [("ALGERIA",), ("BRAZIL",)]
+    assert rows == db.exec_select(q)
+    # the renamed names belong to the wide query, not to the user's
+    hidden = parse("select r.n1__nation__n_name from "
+                   "(select n1.n_name from (nation as n1), (nation as n2)) as r")
+    with pytest.raises(UnknownColumn):
+        change_projection(hidden, db.catalog)
 
 
 def test_aggregate_inside_derived_table_unsupported():

@@ -487,17 +487,19 @@ def test_alert_log_lines(tmp_path, t123_db):
 
 def test_verified_ast_entry_points(t123_db):
     _, verifier = make_verified(t123_db)
-    rows, report = verifier.verified_select(parse("select * from t1"))
+    rows, report = verifier.process("select * from t1")
     assert report.query_kind is QueryKind.SELECT and len(rows) == 1
+    assert report.columns == ["x", "y", "a"]
 
-    summary, report = verifier.verified_insert(parse("insert into t1 (x, y, a) values (2, 0, 0)"))
+    summary, report = verifier.process("insert into t1 (x, y, a) values (2, 0, 0)")
     assert report.query_kind is QueryKind.INSERT and summary.rows_affected == 1
 
-    summary, report = verifier.verified_update(parse("update t1 set y = 42 where x = 2"))
+    summary, report = verifier.process("update t1 set y = 42 where x = 2")
     assert report.query_kind is QueryKind.UPDATE and summary.rows_affected == 1
 
-    summary, report = verifier.verified_delete(parse("delete from t1 where x = 2"))
+    summary, report = verifier.process("delete from t1 where x = 2")
     assert report.query_kind is QueryKind.DELETE and summary.rows_affected == 1
+    assert report.columns == []
 
 
 def test_verified_reinsert_after_delete_reactivates_row_id():
