@@ -9,6 +9,7 @@ that this relationship is linear, with constant per-tuple lookup cost.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ class BenchRecord:
     tuples_mutated: int
     tuples_effective: int
     mean_end_to_end: float
+    min_end_to_end: float
+    median_end_to_end: float
     per_tuple: float | None
     mean_ledger_lookup: float
     lookup_per_tuple: float | None
@@ -48,6 +51,8 @@ class BenchRecord:
             "tuples_mutated": self.tuples_mutated,
             "tuples_effective": self.tuples_effective,
             "mean_end_to_end_s": self.mean_end_to_end,
+            "min_end_to_end_s": self.min_end_to_end,
+            "median_end_to_end_s": self.median_end_to_end,
             "per_tuple_s": self.per_tuple,
             "mean_ledger_lookup_s": self.mean_ledger_lookup,
             "lookup_per_tuple_s": self.lookup_per_tuple,
@@ -78,40 +83,49 @@ def kind_tag(q) -> str:
     return tag
 
 
-def run_query_bench(db, ledger, sql: str, runs: int = 5, principal: str = "peer-1"):
-    """Mean timings for one query over ``runs`` runs (plus one warmup),
-    each against fresh clones. Returns (times, lookup_times, last_report,
-    mean seconds per pipeline phase)."""
-    times: list[float] = []
-    lookups: list[float] = []
-    phases: dict[str, list[float]] = {}
-    report = None
-    for i in range(runs + 1):
-        db2 = db.clone()
-        led2 = ledger.clone_in_memory()
-        v = Verifier(db2, led2, principal)
+def _timed_run(db, ledger, sql: str, principal: str = "peer-1"):
+    """One verified run of ``sql`` against fresh clones of ``db`` and
+    ``ledger``: (seconds, report). The clones are built and the garbage
+    collected before the clock starts, and collection stays off until it
+    stops, so a collection the cloning set off never lands inside the time
+    of a short query."""
+    v = Verifier(db.clone(), ledger.clone_in_memory(), principal)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         t0 = time.perf_counter()
         _, report = v.process(sql)
-        dt = time.perf_counter() - t0
-        if i == 0:
-            continue  # warmup
-        times.append(dt)
-        lookups.append(report.elapsed["ledger_lookup"])
-        for k, vsec in report.elapsed.items():
-            phases.setdefault(k, []).append(vsec)
-    mean_phases = {k: statistics.fmean(v) for k, v in phases.items()}
-    return times, lookups, report, mean_phases
+        return time.perf_counter() - t0, report
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run_bench(db, ledger, queries: list[tuple[str, str]], runs: int = 5,
               principal: str = "peer-1") -> tuple[list[BenchRecord], LinearFit | None]:
+    """Time every query ``runs`` times, after one warm-up run each.
+
+    Runs go round by round over the queries, each round timing every query
+    once, so a change in host speed during the benchmark falls on every
+    query alike rather than on the few whose runs it overlaps."""
+    times: list[list[float]] = [[] for _ in queries]
+    phases: list[dict[str, list[float]]] = [{} for _ in queries]
+    reports = [None] * len(queries)
+    for round_no in range(runs + 1):
+        for i, (_, sql) in enumerate(queries):
+            dt, reports[i] = _timed_run(db, ledger, sql, principal)
+            if round_no == 0:
+                continue  # warm-up
+            times[i].append(dt)
+            for k, vsec in reports[i].elapsed.items():
+                phases[i].setdefault(k, []).append(vsec)
     records = []
-    for qid, sql in queries:
+    for (qid, sql), t, ph, report in zip(queries, times, phases, reports):
         q = parse(sql)
-        times, lookups, report, mean_phases = run_query_bench(db, ledger, sql, runs, principal)
         eff = effective_tuples(classify(q), report.tuples_checked, report.tuples_mutated)
-        mean_t = statistics.fmean(times)
-        mean_l = statistics.fmean(lookups)
+        mean_t = statistics.fmean(t)
+        mean_l = statistics.fmean(ph["ledger_lookup"])
         records.append(BenchRecord(
             query_id=qid,
             kind_tag=kind_tag(q),
@@ -120,10 +134,12 @@ def run_bench(db, ledger, queries: list[tuple[str, str]], runs: int = 5,
             tuples_mutated=report.tuples_mutated,
             tuples_effective=eff,
             mean_end_to_end=mean_t,
+            min_end_to_end=min(t),
+            median_end_to_end=statistics.median(t),
             per_tuple=mean_t / eff if eff else None,
             mean_ledger_lookup=mean_l,
             lookup_per_tuple=mean_l / report.tuples_checked if report.tuples_checked else None,
-            mean_phases=mean_phases,
+            mean_phases={k: statistics.fmean(v) for k, v in ph.items()},
         ))
     return records, fit_records(records)
 

@@ -437,12 +437,13 @@ def cmd_bench(args) -> int:
     records, fit = run_bench(session.db, session.ledger, queries,
                              runs=args.runs, principal=cfg.principal)
     headers = ["id", "kind", "tables", "checked", "mutated", "end-to-end (s)",
-               "per tuple (s)", "lookup/tuple (s)"]
+               "min (s)", "median (s)", "per tuple (s)", "lookup/tuple (s)"]
     rows = []
     for r in records:
         rows.append((
             r.query_id, r.kind_tag, ",".join(r.tables), str(r.tuples_checked),
             str(r.tuples_mutated), f"{r.mean_end_to_end:.4f}",
+            f"{r.min_end_to_end:.4f}", f"{r.median_end_to_end:.4f}",
             f"{r.per_tuple:.6f}" if r.per_tuple is not None else "-",
             f"{r.lookup_per_tuple:.6f}" if r.lookup_per_tuple is not None else "-",
         ))

@@ -25,6 +25,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -140,21 +141,17 @@ class HistoryEntry:
     height: int
 
 
-@dataclass
-class FingerprintRecord:
+class FingerprintRecord(NamedTuple):
+    """A row's ledger state as of one block. Immutable, history included:
+    the ledger stores a new record for every change, so a lookup hands out
+    the stored record itself, without copying anything."""
     row_id: str
     table: str
     status: str            # "active" | "deleted"
     fingerprint: str
     owner: str
     version: int
-    history: list  # [HistoryEntry]
-
-    def copy(self) -> "FingerprintRecord":
-        return FingerprintRecord(
-            self.row_id, self.table, self.status, self.fingerprint,
-            self.owner, self.version, list(self.history),
-        )
+    history: tuple         # (HistoryEntry, ...), oldest first
 
 
 @dataclass(frozen=True)
@@ -417,8 +414,7 @@ class SimulatedLedger(LedgerInterface):
     # world state
 
     def get_current(self, row_id: str) -> FingerprintRecord | None:
-        rec = self._records.get(row_id)
-        return rec.copy() if rec else None
+        return self._records.get(row_id)
 
     def get_row_count(self, table: str) -> int:
         try:
@@ -434,7 +430,7 @@ class SimulatedLedger(LedgerInterface):
 
     def scan_active(self, table: str | None = None) -> list[FingerprintRecord]:
         out = [
-            rec.copy()
+            rec
             for rec in self._records.values()
             if rec.status == "active" and (table is None or rec.table == table)
         ]
@@ -488,14 +484,14 @@ class SimulatedLedger(LedgerInterface):
     def _validate_batch(self, drafts: list[TxDraft]):
         """Check a batch against the committed state; drafts see the effects
         of earlier drafts in the same batch. Raises on first rejection."""
-        records: dict[str, FingerprintRecord] = {}
+        states: dict[str, tuple[str, str]] = {}  # row id -> (status, fingerprint)
         counts = dict(self._counts)
 
-        def rec_view(rid: str) -> FingerprintRecord | None:
-            if rid in records:
-                return records[rid]
-            base = self._records.get(rid)
-            return base.copy() if base else None
+        def state(rid: str) -> tuple[str, str] | None:
+            if rid in states:
+                return states[rid]
+            rec = self._records.get(rid)
+            return (rec.status, rec.fingerprint) if rec else None
 
         for i, d in enumerate(drafts):
             if d.kind is TxKind.ADJUST_ROW_COUNT:
@@ -508,31 +504,27 @@ class SimulatedLedger(LedgerInterface):
                 continue
             if d.row_id is None:
                 raise EndorsementFailed(i, f"{d.kind.value} needs a row_id")
-            rec = rec_view(d.row_id)
+            st = state(d.row_id)
             if d.kind is TxKind.PUT:
                 if d.fingerprint is None:
                     raise EndorsementFailed(i, "put needs a fingerprint")
-                if rec is not None and rec.status == "active":
+                if st is not None and st[0] == "active":
                     raise DuplicateRowId(f"active fingerprint already exists for {d.row_id}")
-                if rec is None:
-                    rec = FingerprintRecord(d.row_id, d.table, "active", d.fingerprint, d.owner, 0, [])
-                rec.status = "active"
-                rec.fingerprint = d.fingerprint
-                records[d.row_id] = rec
+                states[d.row_id] = ("active", d.fingerprint)
             elif d.kind in (TxKind.UPDATE, TxKind.MARK_DELETED):
-                if rec is None:
+                if st is None:
                     raise EndorsementFailed(i, f"no ledger record for {d.row_id}")
-                if rec.status != "active":
+                status, fp = st
+                if status != "active":
                     raise EndorsementFailed(i, f"record {d.row_id} is marked deleted")
-                if d.prev_fingerprint != rec.fingerprint:
-                    raise StaleState(d.row_id, rec.fingerprint, d.prev_fingerprint)
+                if d.prev_fingerprint != fp:
+                    raise StaleState(d.row_id, fp, d.prev_fingerprint)
                 if d.kind is TxKind.UPDATE:
                     if d.fingerprint is None:
                         raise EndorsementFailed(i, "update needs a fingerprint")
-                    rec.fingerprint = d.fingerprint
+                    states[d.row_id] = ("active", d.fingerprint)
                 else:
-                    rec.status = "deleted"
-                records[d.row_id] = rec
+                    states[d.row_id] = ("deleted", fp)
 
     # committed-state application (also used for replay)
 
@@ -544,24 +536,19 @@ class SimulatedLedger(LedgerInterface):
                 continue
             rec = self._records.get(d.row_id)
             if d.kind is TxKind.PUT:
-                if rec is None:
-                    rec = FingerprintRecord(d.row_id, d.table, "active", d.fingerprint, d.owner, 0, [])
-                    self._records[d.row_id] = rec
-                rec.status = "active"
-                rec.fingerprint = d.fingerprint
-                rec.owner = d.owner
-                rec.version += 1
-                rec.history.append(HistoryEntry(d.fingerprint, d.owner, block.height))
-            elif d.kind is TxKind.UPDATE and rec is not None:
-                rec.fingerprint = d.fingerprint
-                rec.owner = d.owner
-                rec.version += 1
-                rec.history.append(HistoryEntry(d.fingerprint, d.owner, block.height))
-            elif d.kind is TxKind.MARK_DELETED and rec is not None:
-                rec.status = "deleted"
-                rec.owner = d.owner
-                rec.version += 1
-                rec.history.append(HistoryEntry(d.prev_fingerprint, d.owner, block.height))
+                status, fp, logged = "active", d.fingerprint, d.fingerprint
+            elif rec is None:
+                continue
+            elif d.kind is TxKind.UPDATE:
+                status, fp, logged = rec.status, d.fingerprint, d.fingerprint
+            else:  # MARK_DELETED
+                status, fp, logged = "deleted", rec.fingerprint, d.prev_fingerprint
+            entry = HistoryEntry(logged, d.owner, block.height)
+            history = rec.history + (entry,) if rec else (entry,)
+            table = rec.table if rec else d.table
+            # one history entry per applied change, so its length is the version
+            self._records[d.row_id] = FingerprintRecord(
+                d.row_id, table, status, fp, d.owner, len(history), history)
 
     def _append_block(self, block: Block):
         raw = block_bytes(block)
@@ -605,5 +592,4 @@ class SimulatedLedger(LedgerInterface):
     # world-state snapshot (for replay-equality checks)
 
     def world_state(self) -> tuple[dict, dict]:
-        records = {rid: rec.copy() for rid, rec in self._records.items()}
-        return records, dict(self._counts)
+        return dict(self._records), dict(self._counts)

@@ -11,7 +11,19 @@ expression over an item and one over earlier items becomes a hash-join key
 (the item's filtered rows are hashed on it and probed by each earlier row);
 the rest are checked on each joined row. The join keeps nested-loop order:
 rows come out sorted by the first item's primary key, then the second's,
-and so on. Hash tables live for one statement. No indexes, no cost model.
+and so on. Hash tables live for one statement. No cost model.
+
+Each base table keeps its rows in key order, and a mutation keeps that
+order by bisecting on its row's key instead of re-sorting. That order is the
+one access path: when a base table's leading filters compare the first
+primary-key column with a literal of its comparison class (numeric with
+numeric, TEXT/DATE with TEXT/DATE; ``=``, ``<``, ``<=``, ``>``, ``>=``), the
+table's rows are narrowed by bisection to the key range they select, and
+only the filters after them are evaluated, on that range alone. A key
+filter placed after another kind of filter, or inside an OR, narrows
+nothing, so every evaluated filter still sees, and raises on, the rows the
+full scan would show it. ``dump_csv`` renders each
+row's CSV line once and reuses it while that row object stays stored.
 
 Mutations come in two flavors: ``apply_row_*`` is the path used by the
 verified pipeline, ``raw_*`` is the out-of-band backdoor that simulates an
@@ -26,6 +38,7 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, DivisionByZero, InvalidOperation
 
@@ -174,23 +187,74 @@ def parse_create_table(ddl_text: str) -> TableDef:
 # --- table storage -----------------------------------------------------------
 
 class _Table:
+    """One base table: its rows by primary key and, once first asked for,
+    the same rows in key order. A mutation keeps that order by bisecting on
+    its row's key, so it costs O(log n) comparisons plus a list move, never
+    a re-sort. Rows whose keys sort equal (only possible when one key column
+    holds values of two types) keep the order in which they were stored."""
+
     def __init__(self, d: TableDef):
         self.d = d
         self.rows: dict[tuple, Row] = {}  # pk values -> full row
-        self._sorted: list[Row] | None = None
+        self._order: list[Row] | None = None   # the rows, in key order
+        self._keys: list[tuple] | None = None  # their sort keys, aligned
+        # Database.dump_csv's cache: id(row) -> (row, line), rendered with
+        # csv_null. An entry holds its row, so the id cannot be reused
+        # while the entry exists.
+        self.csv_lines: dict[int, tuple[Row, str]] = {}
+        self.csv_null: str | None = None
 
-    def _invalidate(self):
-        self._sorted = None
+    def copy(self) -> "_Table":
+        """Independent copy sharing the (immutable) row objects."""
+        t = _Table(self.d)
+        t.rows = dict(self.rows)
+        if self._order is not None:
+            t._order, t._keys = list(self._order), list(self._keys)
+        return t
 
     def pk_of(self, row: Row) -> tuple:
         return tuple(row[i] for i in self.d.pk_indices)
 
     def sorted_rows(self) -> list[Row]:
-        if self._sorted is None:
-            self._sorted = [
-                row for _, row in sorted(self.rows.items(), key=lambda kv: _pk_sort_key(kv[0]))
-            ]
-        return self._sorted
+        if self._order is None:
+            keyed = sorted(((_pk_sort_key(pk), row) for pk, row in self.rows.items()),
+                           key=operator.itemgetter(0))
+            self._keys = [k for k, _ in keyed]
+            self._order = [row for _, row in keyed]
+        return self._order
+
+    def key_rows(self, local: list) -> tuple[list[Row], int]:
+        """``(rows, n)``: the rows, in key order, that satisfy the first ``n``
+        conjuncts of ``local`` (bound to this table's rows), the longest
+        prefix that compares the first key column with a literal of its
+        comparison class. Found by bisection, they satisfy those conjuncts
+        without evaluating them, and such a conjunct can never raise. Later
+        conjuncts are not looked at: a conjunct placed after another kind
+        must still see, and may raise on, every row the scan shows it."""
+        rows = self.sorted_rows()
+        col = self.d.pk_indices[0]
+        cls = _KEY_CLASS[self.d.columns[col].type]
+        keys, first = self._keys, operator.itemgetter(0)
+        lo, hi, n = 0, len(keys), 0
+        for conj in local:
+            bound = _key_bound(conj, col, cls)
+            if bound is None:
+                break
+            n += 1
+            op, probe = bound
+            if op in ("=", ">="):
+                lo = max(lo, bisect_left(keys, probe, key=first))
+            elif op == ">":
+                lo = max(lo, bisect_right(keys, probe, key=first))
+            else:  # past the NULL keys, which sort first and compare false
+                lo = max(lo, bisect_left(keys, (1,), key=first))
+            if op in ("=", "<="):
+                hi = min(hi, bisect_right(keys, probe, key=first))
+            elif op == "<":
+                hi = min(hi, bisect_left(keys, probe, key=first))
+        if n == 0:
+            return rows, 0
+        return rows[lo:hi], n
 
     def insert(self, row: Row):
         pk = self.pk_of(row)
@@ -198,8 +262,7 @@ class _Table:
             raise NullPrimaryKey(f"NULL primary key in {self.d.name}")
         if pk in self.rows:
             raise DuplicatePrimaryKey(f"duplicate primary key {pk} in {self.d.name}")
-        self.rows[pk] = row
-        self._invalidate()
+        self._add(pk, row)
 
     def get(self, pk: tuple) -> Row:
         try:
@@ -208,25 +271,69 @@ class _Table:
             raise NoSuchRow(f"no row with key {pk} in {self.d.name}") from None
 
     def replace(self, pk: tuple, row: Row):
-        if pk not in self.rows:
-            raise NoSuchRow(f"no row with key {pk} in {self.d.name}")
+        old = self.get(pk)
         new_pk = self.pk_of(row)
         if new_pk != pk:
             if new_pk in self.rows:
                 raise DuplicatePrimaryKey(f"duplicate primary key {new_pk} in {self.d.name}")
-            del self.rows[pk]
-        self.rows[new_pk] = row
-        self._invalidate()
+            self._remove(pk)
+            self._add(new_pk, row)
+            return
+        self.rows[pk] = row
+        if self._order is not None:
+            self._order[self._position(pk, old)] = row
 
     def delete(self, pk: tuple):
-        if pk not in self.rows:
-            raise NoSuchRow(f"no row with key {pk} in {self.d.name}")
-        del self.rows[pk]
-        self._invalidate()
+        self.get(pk)
+        self._remove(pk)
+
+    def _add(self, pk: tuple, row: Row):
+        self.rows[pk] = row
+        if self._order is not None:
+            k = _pk_sort_key(pk)
+            i = bisect_right(self._keys, k)  # after equal keys: stored later
+            self._keys.insert(i, k)
+            self._order.insert(i, row)
+
+    def _remove(self, pk: tuple):
+        row = self.rows.pop(pk)
+        if self._order is not None:
+            i = self._position(pk, row)
+            del self._keys[i]
+            del self._order[i]
+
+    def _position(self, pk: tuple, row: Row) -> int:
+        """Index of the stored ``row``, whose key is ``pk``, in the key order."""
+        i = bisect_left(self._keys, _pk_sort_key(pk))
+        while self._order[i] is not row:  # past rows whose keys sort equal
+            i += 1
+        return i
 
 
 def _pk_sort_key(pk: tuple):
     return tuple(v.sort_key() for v in pk)
+
+
+# each narrowing comparison, and the one it becomes with its operands swapped
+_FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _key_bound(conj, col: int, cls: int):
+    """``(op, probe)`` when ``conj`` compares column ``col`` with a literal of
+    comparison class ``cls``, as ``col op literal``; ``probe`` is the
+    literal's sort key. None otherwise."""
+    if not isinstance(conj, ast.Comparison) or conj.op not in _FLIPPED:
+        return None
+    op, left, right = conj.op, conj.left, conj.right
+    if isinstance(right, ast.BoundCol) and isinstance(left, ast.Literal):
+        op, left, right = _FLIPPED[op], right, left
+    if not (isinstance(left, ast.BoundCol) and left.index == col
+            and isinstance(right, ast.Literal)):
+        return None
+    v = right.value
+    if v.is_null or _KEY_CLASS[v.kind] != cls:
+        return None
+    return op, v.sort_key()
 
 
 # --- binding -----------------------------------------------------------------
@@ -465,7 +572,7 @@ class _Step:
     ``local`` and ``inner_keys`` read the binding's own rows; ``outer_keys``
     and ``residual`` read the wide row joined so far.
     """
-    rows: list[Row]                                  # the binding's rows, in order
+    rows: list[Row] = field(default_factory=list)    # the binding's rows, in order
     local: list = field(default_factory=list)        # conjuncts over this binding only
     inner_keys: list = field(default_factory=list)   # hash keys over this binding, each
     outer_keys: list = field(default_factory=list)   # equal to one over earlier bindings
@@ -473,11 +580,15 @@ class _Step:
     residual: list = field(default_factory=list)     # every other conjunct
 
 
-def _plan(where, scope: Scope, sources: list[list[Row]]) -> list[_Step]:
+def _plan(where, scope: Scope, sources: list) -> list[_Step]:
     """Bind the WHERE clause and give each conjunct to the deepest binding it
     reads: as a filter of that binding's rows when it reads no other, as a
     hash-join key when it equates an expression over that binding with one
-    over earlier bindings, as a residual predicate otherwise."""
+    over earlier bindings, as a residual predicate otherwise.
+
+    Each source is a base ``_Table`` or a list of rows. A base table's rows
+    are narrowed to the key range its leading filters select (``key_rows``);
+    the filters after those are evaluated on every row in that range."""
     # each block's positions are contiguous, from its first
     start = [cols[0][1] for _, cols in scope.blocks]
     depth_of = [d for d, (_, cols) in enumerate(scope.blocks) for _ in cols]
@@ -485,7 +596,7 @@ def _plan(where, scope: Scope, sources: list[list[Row]]) -> list[_Step]:
     def depths(node) -> set[int]:
         return {depth_of[i] for i in _columns(node)}
 
-    steps = [_Step(rows) for rows in sources]
+    steps = [_Step() for _ in sources]
     for conj in _conjuncts(where):
         bound = scope.bind(conj)
         read = depths(bound)
@@ -507,6 +618,12 @@ def _plan(where, scope: Scope, sources: list[list[Row]]) -> list[_Step]:
                 step.inner_left.append(False)
                 continue
         step.residual.append(bound)
+    for step, src in zip(steps, sources):
+        if isinstance(src, _Table):
+            step.rows, n = src.key_rows(step.local)
+            del step.local[:n]
+        else:
+            step.rows = src
     return steps
 
 
@@ -623,14 +740,22 @@ class Database:
         return n
 
     def dump_csv(self, table: str, stream, null_literal: str = ""):
+        """Write the table as CSV, rows in key order. Each row's line is
+        rendered once and reused while that row object stays stored and the
+        null literal stays the same, so a dump after a mutation renders only
+        the rows the mutation stored."""
         t = self._table(table)
-        write_csv_row(stream, t.d.column_names(), null_literal)
+        cached = t.csv_lines if t.csv_null == null_literal else {}
+        kept: dict[int, tuple[Row, str]] = {}
+        out = [csv_line(t.d.column_names(), null_literal)]
         for row in t.sorted_rows():
-            write_csv_row(
-                stream,
-                [None if v.is_null else render_value(v) for v in row],
-                null_literal,
-            )
+            entry = cached.get(id(row))
+            if entry is None:
+                entry = (row, _row_line(row, null_literal))
+            kept[id(row)] = entry
+            out.append(entry[1])
+        t.csv_lines, t.csv_null = kept, null_literal
+        stream.write("".join(out))
 
     def _table(self, name: str) -> _Table:
         self.catalog.get(name)
@@ -662,12 +787,12 @@ class Database:
         blocks, sources, off = [], [], 0
         for item in q.from_items:
             if isinstance(item, ast.BaseTable):
-                t = self._table(item.name)
-                names, rows = t.d.column_names(), t.sorted_rows()
+                source = self._table(item.name)
+                names = source.d.column_names()
             else:
-                names, rows = self._select(item.subquery)
+                names, source = self._select(item.subquery)
             blocks.append((item.binding, [(n, off + i) for i, n in enumerate(names)]))
-            sources.append(rows)
+            sources.append(source)
             off += len(names)
         scope = Scope(blocks)
         steps = _plan(q.where, scope, sources)
@@ -717,9 +842,7 @@ class Database:
         db = Database()
         for name, d in self.catalog.tables.items():
             db.catalog.tables[name] = d
-            nt = _Table(d)
-            nt.rows = dict(self._tables[name].rows)
-            db._tables[name] = nt
+            db._tables[name] = self._tables[name].copy()
         return db
 
 
@@ -856,6 +979,15 @@ def iter_csv(stream):
 
 
 def write_csv_row(stream, fields, null_literal: str = ""):
+    stream.write(csv_line(fields, null_literal))
+
+
+def _row_line(row: Row, null_literal: str) -> str:
+    """The CSV line of a stored row."""
+    return csv_line([None if v.is_null else render_value(v) for v in row], null_literal)
+
+
+def csv_line(fields, null_literal: str = "") -> str:
     # None marks NULL and is written as the (unquoted) null literal; a real
     # text value that would collide with it gets quoted.
     out = []
@@ -867,4 +999,4 @@ def write_csv_row(stream, fields, null_literal: str = ""):
             out.append('"' + f.replace('"', '""') + '"')
         else:
             out.append(f)
-    stream.write(",".join(out) + "\n")
+    return ",".join(out) + "\n"

@@ -85,7 +85,7 @@ def test_fit_is_exact_on_synthetic_records():
     from verity.bench import BenchRecord
 
     def rec(n, t):
-        return BenchRecord("q", "S", [], n, 0, n, t, t / n if n else None, 0.0, None)
+        return BenchRecord("q", "S", [], n, 0, n, t, t, t, t / n if n else None, 0.0, None)
 
     records = [rec(10, 0.1 + 10 * 0.002), rec(100, 0.1 + 100 * 0.002),
                rec(1000, 0.1 + 1000 * 0.002)]
@@ -101,3 +101,26 @@ def test_phase_breakdown_recorded(t123_db):
     phases = records[0].mean_phases
     assert set(phases) == {"parse", "rewrite", "db_exec", "ledger_lookup", "ledger_commit"}
     assert all(v >= 0 for v in phases.values())
+
+
+def test_min_and_median_reported_beside_the_mean(t123_db):
+    ledger, _ = make_verified(t123_db)
+    records, _ = run_bench(t123_db, ledger, [("q", "select * from t1")], runs=3)
+    d = records[0].as_dict()
+    assert 0 < d["min_end_to_end_s"] <= d["median_end_to_end_s"]
+    assert d["min_end_to_end_s"] <= d["mean_end_to_end_s"]
+
+
+def test_timed_runs_keep_the_callers_gc_setting(t123_db):
+    import gc
+
+    ledger, _ = make_verified(t123_db)
+    assert gc.isenabled()
+    run_bench(t123_db, ledger, [("q", "select * from t1")], runs=1)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        run_bench(t123_db, ledger, [("q", "select * from t1")], runs=1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -60,6 +60,31 @@ def test_put_then_get_current():
     assert rec.version == 1
 
 
+def test_get_current_returns_a_read_only_snapshot():
+    led = fresh()
+    put(led)
+    rec = led.get_current(RID)
+    assert led.get_current(RID) is rec  # shared, not copied
+    with pytest.raises(AttributeError):
+        rec.status = "deleted"
+    with pytest.raises(AttributeError):
+        rec.history.append(rec.history[0])
+    with pytest.raises(TypeError):
+        rec.history[0] = None
+    h = led.history(RID)
+    h.clear()
+    assert led.get_current(RID) == rec and len(led.history(RID)) == 1
+    led.submit([TxDraft(TxKind.UPDATE, "t", "peer-2", row_id=RID,
+                        fingerprint=FP2, prev_fingerprint=FP1)], "peer-2")
+    # the record already returned still shows the state it was taken in
+    assert (rec.fingerprint, rec.version, len(rec.history)) == (FP1, 1, 1)
+    assert [e.fingerprint for e in rec.history] == [FP1]
+    now = led.get_current(RID)
+    assert (now.fingerprint, now.owner, now.version) == (FP2, "peer-2", 2)
+    assert [e.fingerprint for e in now.history] == [FP1, FP2]
+    assert now.history[:1] == rec.history and now.history[-1].owner == "peer-2"
+
+
 def test_get_current_unknown_returns_none():
     led = fresh()
     assert led.get_current("f" * 64) is None
