@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .bench import parse_queries_file, run_bench
 from .errors import TamperDetected, VerityError
 from .ledger import SimulatedLedger, generate_peers, load_peers, save_peers
-from .storage import Database, iter_csv
+from .storage import Database, Tuple, csv_row, iter_csv
 from .values import NULL, Value, ValueType, parse_typed, render_value
 from .verifier import MutationSummary, Verifier
 
@@ -385,14 +385,7 @@ def cmd_tamper(args) -> int:
         if len(fields) != len(td.columns):
             print(f"error: {td.name} needs {len(td.columns)} values", file=sys.stderr)
             return EXIT_ERROR
-        values = []
-        for (raw, quoted), col in zip(fields, td.columns):
-            if not quoted and raw == "":
-                values.append(NULL)
-            else:
-                values.append(parse_typed(raw, col.type))
-        from .storage import Tuple
-        db.raw_insert(Tuple(td.name, tuple(values)))
+        db.apply_row_insert(Tuple(td.name, csv_row(td, fields, cfg.csv_null, 1)))
         action = "inserted dummy row"
     else:
         if args.pk is None:
@@ -408,7 +401,7 @@ def cmd_tamper(args) -> int:
             for (raw, _), c in zip(pk_parts, td.primary_key)
         )
         if args.delete:
-            db.raw_delete(td.name, pk)
+            db.apply_row_delete(td.name, pk)
             action = "deleted row"
         elif args.set:
             col, _, val = args.set.partition("=")

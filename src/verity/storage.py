@@ -25,10 +25,12 @@ nothing, so every evaluated filter still sees, and raises on, the rows the
 full scan would show it. ``dump_csv`` renders each
 row's CSV line once and reuses it while that row object stays stored.
 
-Mutations come in two flavors: ``apply_row_*`` is the path used by the
-verified pipeline, ``raw_*`` is the out-of-band backdoor that simulates an
-attacker editing stored data directly. Both mutate storage only; neither
-knows anything about the ledger.
+Mutations go through ``apply_row_insert``, ``apply_row_update`` and
+``apply_row_delete``, which the verified pipeline calls once the ledger has
+committed, or ``raw_mutate``, which sets one column of a stored row. Called
+without the verifier (``verity tamper``), they are the out-of-band backdoor
+that simulates an insider editing stored data. None of them knows anything
+about the ledger.
 
 Single-writer: mutating calls must be externally serialized. Concurrent
 read-only ``exec_select`` calls between mutations are fine.
@@ -41,6 +43,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, DivisionByZero, InvalidOperation
+from functools import cached_property
 
 from . import sqlast as ast
 from .errors import (
@@ -87,8 +90,10 @@ class TableDef:
                 return i
         raise UnknownColumn(f"{self.name} has no column {name!r}")
 
-    @property
+    @cached_property
     def pk_indices(self) -> tuple[int, ...]:
+        # computed once: every stored row's key is read through it; the
+        # frozen dataclass refuses assignment, so callers cannot set it
         return tuple(self.col_index(c) for c in self.primary_key)
 
 
@@ -726,16 +731,7 @@ class Database:
         for lineno, fields in enumerate(reader, start=2):
             if len(fields) != len(t.d.columns):
                 raise ArityError(f"{table} line {lineno}: expected {len(t.d.columns)} fields")
-            row = []
-            for (raw, quoted), col in zip(fields, t.d.columns):
-                if not quoted and raw == null_literal:
-                    row.append(NULL)
-                    continue
-                try:
-                    row.append(parse_typed(raw, col.type))
-                except ValueTypeError as exc:
-                    raise ValueTypeError(f"{table} line {lineno}: {exc}") from None
-            t.insert(tuple(row))
+            t.insert(csv_row(t.d, fields, null_literal, lineno))
             n += 1
         return n
 
@@ -811,7 +807,6 @@ class Database:
         t = self._table(table)
         if len(new_values) != len(t.d.columns):
             raise ArityError(f"{table}: expected {len(t.d.columns)} values")
-        t.get(tuple(pk))
         t.replace(tuple(pk), tuple(new_values))
 
     def apply_row_delete(self, table: str, pk: tuple):
@@ -827,12 +822,6 @@ class Database:
         row = list(t.get(tuple(pk)))
         row[idx] = new_value
         t.replace(tuple(pk), tuple(row))
-
-    def raw_delete(self, table: str, pk: tuple):
-        self._table(table).delete(tuple(pk))
-
-    def raw_insert(self, tup: Tuple):
-        self.apply_row_insert(tup)
 
     # misc
 
@@ -976,6 +965,24 @@ def iter_csv(stream):
         if i < n and data[i] == "\n":
             i += 1
         yield fields
+
+
+def csv_row(d: TableDef, fields, null_literal: str, lineno: int) -> Row:
+    """The row of table ``d`` that one CSV line's ``(text, quoted)`` fields
+    stand for, one field per column: an unquoted field equal to
+    ``null_literal`` is NULL, any other is parsed as its column's type. A
+    field that does not parse raises ValueTypeError naming ``d`` and
+    ``lineno``."""
+    row = []
+    for (raw, quoted), col in zip(fields, d.columns):
+        if not quoted and raw == null_literal:
+            row.append(NULL)
+            continue
+        try:
+            row.append(parse_typed(raw, col.type))
+        except ValueTypeError as exc:
+            raise ValueTypeError(f"{d.name} line {lineno}: {exc}") from None
+    return tuple(row)
 
 
 def write_csv_row(stream, fields, null_literal: str = ""):

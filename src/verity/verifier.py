@@ -2,9 +2,12 @@
 
 Every statement runs through the same pipeline: parse, widen, execute the
 wide query, fingerprint-check every distinct base tuple it touched against
-the ledger, and only then release results or apply mutations. For mutating
-statements the ledger batch commits strictly before storage is touched, so
-a ledger rejection leaves the database unchanged.
+the ledger, and only then release results or apply mutations.
+
+The write protocol lives in ``Verifier._commit_and_apply``, shared by UPDATE,
+INSERT and DELETE: the touched tuples' fingerprints commit as one ledger block
+strictly before storage is touched, so a ledger rejection leaves the database
+unchanged. A row's previous fingerprint is the one its SELECT just verified.
 
 Detection is access-triggered: a tuple tampered out-of-band fails its
 fingerprint check the first time any verified query touches it. The two
@@ -40,7 +43,7 @@ from .ledger import LedgerInterface, TxDraft, TxKind
 from .parser import parse
 from .rewriter import change_projection, project_results, tuples_of
 from .sqlast import QueryKind, classify
-from .storage import Database, Scope, Tuple, eval_expr
+from .storage import Database, Scope, TableDef, Tuple, eval_expr
 from .values import NULL, coerce
 
 PHASES = ("parse", "rewrite", "db_exec", "ledger_lookup", "ledger_commit")
@@ -97,19 +100,18 @@ class MissingRow:
 
 
 class _Ctx:
-    """Per-statement accumulator: timings, distinct verified row ids, alerts."""
+    """Per-statement accumulator: timings, verified fingerprints, alerts."""
 
-    def __init__(self, query_text: str, clock):
+    def __init__(self, query_text: str):
         self.kind = None
         self.elapsed = {p: 0.0 for p in PHASES}
-        self.checked: set[str] = set()
+        self.checked: dict[str, str] = {}  # row id -> its verified fingerprint
         self.seen = 0
         self.alerts: list[TamperAlert] = []
         self.tables: list[str] = []
         self.mutated = 0
         self.txs = 0
         self.query_hash = hashlib.sha256(query_text.encode("utf-8")).hexdigest()
-        self.clock = clock
 
     def touch_table(self, name: str):
         if name not in self.tables:
@@ -149,15 +151,13 @@ class Verifier:
         for table in self.db.catalog.names():
             td = self.db.catalog.get(table)
             drafts = []
-            n = 0
             for tup in self.db.rows_of(table):
                 rid, fp = fingerprint_tuple(tup, td.pk_indices)
                 drafts.append(TxDraft(TxKind.PUT, table, self.principal,
                                       row_id=rid, fingerprint=fp))
-                n += 1
+            counts[table] = n = len(drafts)
             drafts.append(TxDraft(TxKind.ADJUST_ROW_COUNT, table, self.principal, delta=n))
             self.ledger.submit(drafts, self.principal)
-            counts[table] = n
         return counts
 
     # --- statement entry points ----------------------------------------------
@@ -166,21 +166,18 @@ class Verifier:
         """Parse, dispatch, verify. Returns (payload, report); the payload is
         a row list for SELECT and a MutationSummary otherwise. Raises
         TamperDetected (with all alerts) instead of releasing anything."""
-        ctx = _Ctx(sql_text, self.clock)
+        ctx = _Ctx(sql_text)
         with _Timer(ctx, "parse"):
             q = parse(sql_text)
-        kind = classify(q)
-        ctx.kind = kind
+        ctx.kind = kind = classify(q)
         if kind is QueryKind.SELECT:
             rows, rw = self._select(q, ctx)
             return rows, self._report(kind, ctx, columns=rw.output_names)
-        principal = principal or self.principal
-        if kind is QueryKind.UPDATE:
-            summary = self._update(q, ctx, principal)
-        elif kind is QueryKind.INSERT:
-            summary = self._insert(q, ctx, principal)
-        else:
-            summary = self._delete(q, ctx, principal)
+        write = {QueryKind.UPDATE: self._update, QueryKind.INSERT: self._insert,
+                 QueryKind.DELETE: self._delete}[kind]
+        td = self.db.catalog.get(q.table)
+        ctx.touch_table(td.name)
+        summary = write(q, td, ctx, principal or self.principal)
         return summary, self._report(kind, ctx)
 
     # --- the verified SELECT pipeline ----------------------------------------
@@ -199,34 +196,33 @@ class Verifier:
                     rid = row_id([row[exposure.start + i] for i in pk_idx], exposure.table)
                     if rid in ctx.checked:
                         continue
-                    ctx.checked.add(rid)
-                    fp = fingerprint(rid, tuples_of(row, exposure))
+                    fp = ctx.checked[rid] = fingerprint(rid, tuples_of(row, exposure))
                     expected = self._check(rid, fp)
                     if expected is not None:
-                        self._alert(ctx, rid, exposure.table, expected, fp)
+                        ctx.alerts.append(TamperAlert(rid, exposure.table, expected, fp,
+                                                      ctx.query_hash, self.clock()))
         if ctx.alerts:
-            self._raise_tampered(ctx)
+            self._log_alerts(ctx.alerts)
+            raise TamperDetected(ctx.alerts, self._report(ctx.kind, ctx, outcome="tampered"))
         with _Timer(ctx, "db_exec"):
             rows = project_results(wide_rows, rw)
         return rows, rw
 
-    # --- UPDATE ----------------------------------------------------------------
+    # --- UPDATE, INSERT, DELETE ------------------------------------------------
 
-    def _update(self, q: ast.UpdateQuery, ctx: _Ctx, principal: str) -> MutationSummary:
-        td = self.db.catalog.get(q.table)
-        ctx.touch_table(td.name)
-
-        seen_cols = set()
+    def _update(self, q: ast.UpdateQuery, td: TableDef, ctx: _Ctx,
+                principal: str) -> MutationSummary:
+        set_cols = []  # the column index of each assignment
         for a in q.assignments:
-            td.col_index(a.column)  # UnknownColumn on bad names
+            idx = td.col_index(a.column)  # UnknownColumn on bad names
             if a.column in td.primary_key:
                 raise PkUpdateUnsupported(f"cannot SET primary-key column {a.column!r}")
-            if a.column in seen_cols:
+            if idx in set_cols:
                 raise DuplicateColumn(f"column {a.column!r} assigned twice")
-            seen_cols.add(a.column)
+            set_cols.append(idx)
 
         # scalar subqueries run through the verified SELECT pipeline first
-        scalar_values: dict[int, object] = {}
+        scalars: dict[int, ast.Literal] = {}
         for i, a in enumerate(q.assignments):
             if isinstance(a.value, ast.ScalarSubquery):
                 rows, _ = self._select(a.value.query, ctx)
@@ -235,72 +231,52 @@ class Verifier:
                         f"SET subquery for {a.column!r} returned "
                         f"{len(rows)} row(s); exactly one value required"
                     )
-                scalar_values[i] = rows[0][0]
+                scalars[i] = ast.Literal(rows[0][0])
 
-        old_rows, _ = self._select(self._select_star(q.table, q.where), ctx)
+        old_rows = self._target_rows(td, q.where, ctx)
 
         scope = Scope([(td.name, [(n, i) for i, n in enumerate(td.column_names())])])
-        bound = {i: scope.bind(a.value) for i, a in enumerate(q.assignments)
-                 if i not in scalar_values}
-        drafts = []
-        mutations = []
-        for old in old_rows:
-            new_values = list(old)
-            for i, a in enumerate(q.assignments):
-                idx = td.col_index(a.column)
-                if i in scalar_values:
-                    v = scalar_values[i]
-                else:
-                    v = eval_expr(bound[i], old)
-                if not v.is_null:
-                    v = coerce(v, td.columns[idx].type)
-                new_values[idx] = v
-            old_tup = Tuple(td.name, tuple(old))
-            new_tup = Tuple(td.name, tuple(new_values))
-            rid, old_fp = fingerprint_tuple(old_tup, td.pk_indices)
-            new_fp = fingerprint(rid, new_tup)
+        setters = [(idx, td.columns[idx].type,
+                    scalars[i] if i in scalars else scope.bind(a.value))
+                   for i, (idx, a) in enumerate(zip(set_cols, q.assignments))]
+        drafts, ops = [], []
+        for rid, pk, old in old_rows:
+            new = list(old)
+            for idx, typ, expr in setters:
+                v = eval_expr(expr, old)
+                new[idx] = v if v.is_null else coerce(v, typ)
+            new = tuple(new)
             drafts.append(TxDraft(TxKind.UPDATE, td.name, principal, row_id=rid,
-                                  fingerprint=new_fp, prev_fingerprint=old_fp))
-            mutations.append((tuple(old[i] for i in td.pk_indices), tuple(new_values)))
+                                  fingerprint=fingerprint(rid, Tuple(td.name, new)),
+                                  prev_fingerprint=ctx.checked[rid]))
+            ops.append((td.name, pk, new))
+        return self._commit_and_apply(ctx, QueryKind.UPDATE, td.name, principal, drafts,
+                                      self.db.apply_row_update, ops)
 
-        height = self._commit(ctx, drafts, principal)
-        with _Timer(ctx, "db_exec"):
-            for pk, new_values in mutations:
-                self.db.apply_row_update(td.name, pk, new_values)
-        ctx.mutated = len(mutations)
-        return MutationSummary(QueryKind.UPDATE, td.name, len(mutations), len(drafts), height)
-
-    # --- INSERT ----------------------------------------------------------------
-
-    def _insert(self, q: ast.InsertQuery, ctx: _Ctx, principal: str) -> MutationSummary:
-        td = self.db.catalog.get(q.table)
-        ctx.touch_table(td.name)
-
+    def _insert(self, q: ast.InsertQuery, td: TableDef, ctx: _Ctx,
+                principal: str) -> MutationSummary:
         col_idx = []
-        seen = set()
         for c in q.columns:
-            if c in seen:
+            idx = td.col_index(c)
+            if idx in col_idx:
                 raise DuplicateColumn(f"column {c!r} listed twice")
-            seen.add(c)
-            col_idx.append(td.col_index(c))
+            col_idx.append(idx)
         for pk_col in td.primary_key:
-            if pk_col not in seen:
+            if pk_col not in q.columns:
                 raise NullPrimaryKey(f"insert must provide primary-key column {pk_col!r}")
 
         if isinstance(q.source, ast.SelectSource):
-            for sel in ast.iter_selects(q.source.query):
-                for item in sel.from_items:
-                    if isinstance(item, ast.BaseTable) and item.name == td.name:
-                        raise UnsupportedFeature(
-                            f"INSERT ... SELECT reading its own target table {td.name!r}"
-                        )
+            if any(isinstance(item, ast.BaseTable) and item.name == td.name
+                   for sel in ast.iter_selects(q.source.query) for item in sel.from_items):
+                raise UnsupportedFeature(
+                    f"INSERT ... SELECT reading its own target table {td.name!r}"
+                )
             src_rows, _ = self._select(q.source.query, ctx)
         else:
-            src_rows = []
-            for row_exprs in q.source.rows:
-                src_rows.append(tuple(eval_expr(e, ()) for e in row_exprs))
+            src_rows = [tuple(eval_expr(e, ()) for e in row_exprs)
+                        for row_exprs in q.source.rows]
 
-        new_tuples = []
+        new_rows = []
         for r in src_rows:
             if len(r) != len(q.columns):
                 raise ArityError(
@@ -309,13 +285,12 @@ class Verifier:
             values = [NULL] * len(td.columns)
             for v, idx in zip(r, col_idx):
                 values[idx] = v if v.is_null else coerce(v, td.columns[idx].type)
-            new_tuples.append(Tuple(td.name, tuple(values)))
+            new_rows.append(tuple(values))
 
         batch_pks = set()
-        drafts = []
-        inserts = []
-        for tup in new_tuples:
-            pk = tuple(tup.values[i] for i in td.pk_indices)
+        drafts, ops = [], []
+        for values in new_rows:
+            pk = tuple(values[i] for i in td.pk_indices)
             if any(v.is_null for v in pk):
                 raise NullPrimaryKey(f"NULL primary key in insert into {td.name}")
             if pk in batch_pks:
@@ -323,45 +298,52 @@ class Verifier:
             batch_pks.add(pk)
             if self.db.has_row(td.name, pk):
                 raise DuplicatePrimaryKey(f"key {pk} already present in {td.name}")
-            rid, fp = fingerprint_tuple(tup, td.pk_indices)
-            drafts.append(TxDraft(TxKind.PUT, td.name, principal, row_id=rid, fingerprint=fp))
-            inserts.append(tup)
+            tup = Tuple(td.name, values)
+            rid = row_id(pk, td.name)
+            drafts.append(TxDraft(TxKind.PUT, td.name, principal, row_id=rid,
+                                  fingerprint=fingerprint(rid, tup)))
+            ops.append((tup,))
+        return self._commit_and_apply(ctx, QueryKind.INSERT, td.name, principal, drafts,
+                                      self.db.apply_row_insert, ops)
+
+    def _delete(self, q: ast.DeleteQuery, td: TableDef, ctx: _Ctx,
+                principal: str) -> MutationSummary:
+        old_rows = self._target_rows(td, q.where, ctx)
+        drafts = [TxDraft(TxKind.MARK_DELETED, td.name, principal, row_id=rid,
+                          prev_fingerprint=ctx.checked[rid]) for rid, _, _ in old_rows]
+        ops = [(td.name, pk) for _, pk, _ in old_rows]
+        return self._commit_and_apply(ctx, QueryKind.DELETE, td.name, principal, drafts,
+                                      self.db.apply_row_delete, ops)
+
+    def _target_rows(self, td: TableDef, where, ctx: _Ctx) -> list[tuple[str, tuple, tuple]]:
+        """``(row id, primary key, row)`` of every row of ``td`` that ``where``
+        selects, in key order, each verified by the SELECT pipeline, so its
+        verified fingerprint is ``ctx.checked[row id]``."""
+        q = ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
+                            (ast.BaseTable(td.name, None),), where)
+        rows, _ = self._select(q, ctx)
+        pks = [tuple(row[i] for i in td.pk_indices) for row in rows]
+        return [(row_id(pk, td.name), pk, row) for pk, row in zip(pks, rows)]
+
+    def _commit_and_apply(self, ctx: _Ctx, kind: QueryKind, table: str, principal: str,
+                          drafts: list, apply, ops: list) -> MutationSummary:
+        """The write protocol's one commit: ``drafts``, one per changed row,
+        plus the row-count change of an INSERT or DELETE, go to the ledger as
+        one block; only then does ``apply(*op)`` run for each op. A ledger
+        rejection therefore leaves storage unchanged."""
+        height = None
         if drafts:
-            drafts.append(TxDraft(TxKind.ADJUST_ROW_COUNT, td.name, principal,
-                                  delta=len(inserts)))
-
-        height = self._commit(ctx, drafts, principal)
+            delta = {QueryKind.INSERT: len(ops), QueryKind.DELETE: -len(ops)}.get(kind)
+            if delta:
+                drafts.append(TxDraft(TxKind.ADJUST_ROW_COUNT, table, principal, delta=delta))
+            with _Timer(ctx, "ledger_commit"):
+                height = self.ledger.submit(drafts, principal).height
+            ctx.txs += len(drafts)
         with _Timer(ctx, "db_exec"):
-            for tup in inserts:
-                self.db.apply_row_insert(tup)
-        ctx.mutated = len(inserts)
-        return MutationSummary(QueryKind.INSERT, td.name, len(inserts), len(drafts), height)
-
-    # --- DELETE ----------------------------------------------------------------
-
-    def _delete(self, q: ast.DeleteQuery, ctx: _Ctx, principal: str) -> MutationSummary:
-        td = self.db.catalog.get(q.table)
-        ctx.touch_table(td.name)
-        old_rows, _ = self._select(self._select_star(q.table, q.where), ctx)
-
-        drafts = []
-        pks = []
-        for old in old_rows:
-            tup = Tuple(td.name, tuple(old))
-            rid, fp = fingerprint_tuple(tup, td.pk_indices)
-            drafts.append(TxDraft(TxKind.MARK_DELETED, td.name, principal,
-                                  row_id=rid, prev_fingerprint=fp))
-            pks.append(tuple(old[i] for i in td.pk_indices))
-        if drafts:
-            drafts.append(TxDraft(TxKind.ADJUST_ROW_COUNT, td.name, principal,
-                                  delta=-len(pks)))
-
-        height = self._commit(ctx, drafts, principal)
-        with _Timer(ctx, "db_exec"):
-            for pk in pks:
-                self.db.apply_row_delete(td.name, pk)
-        ctx.mutated = len(pks)
-        return MutationSummary(QueryKind.DELETE, td.name, len(pks), len(drafts), height)
+            for op in ops:
+                apply(*op)
+        ctx.mutated = len(ops)
+        return MutationSummary(kind, table, len(ops), len(drafts), height)
 
     # --- audits ----------------------------------------------------------------
 
@@ -400,14 +382,6 @@ class Verifier:
 
     # --- helpers ----------------------------------------------------------------
 
-    @staticmethod
-    def _select_star(table: str, where) -> ast.SelectQuery:
-        return ast.SelectQuery(
-            (ast.ProjectionItem(ast.Star(), None),),
-            (ast.BaseTable(table, None),),
-            where,
-        )
-
     def _check(self, rid: str, fp: str) -> str | None:
         """None when the ledger holds ``fp`` as row ``rid``'s active
         fingerprint; otherwise what the ledger expected, for the alert:
@@ -420,24 +394,6 @@ class Verifier:
         if rec.fingerprint != fp:
             return rec.fingerprint
         return None
-
-    def _commit(self, ctx: _Ctx, drafts, principal: str) -> int | None:
-        if not drafts:
-            return None
-        with _Timer(ctx, "ledger_commit"):
-            block = self.ledger.submit(drafts, principal)
-        ctx.txs += len(drafts)
-        return block.height
-
-    def _alert(self, ctx: _Ctx, rid: str, table: str, expected: str, computed: str):
-        ctx.alerts.append(
-            TamperAlert(rid, table, expected, computed, ctx.query_hash, self.clock())
-        )
-
-    def _raise_tampered(self, ctx: _Ctx):
-        report = self._report(ctx.kind, ctx, outcome="tampered")
-        self._log_alerts(ctx.alerts)
-        raise TamperDetected(ctx.alerts, report)
 
     def _report(self, kind, ctx: _Ctx, outcome: str = "verified",
                 columns: list[str] | None = None) -> VerificationReport:
@@ -462,4 +418,5 @@ class Verifier:
                 ts = datetime.datetime.fromtimestamp(
                     a.timestamp, tz=datetime.timezone.utc
                 ).isoformat()
-                f.write(f"{ts}\t{a.table}\t{a.row_id}\t{a.expected}\t{a.computed}\n")
+                f.write(f"{ts}\t{a.table}\t{a.row_id}\t{a.expected}\t{a.computed}"
+                        f"\t{a.query_hash}\n")

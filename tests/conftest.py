@@ -328,7 +328,7 @@ class RandomDbGen:
                     else:
                         values.append(Value.text(rng.choice(["ab", "cd", "abc", "x", ""])))
                 from verity.storage import Tuple
-                db.raw_insert(Tuple(f"tab{t}", tuple(values)))
+                db.apply_row_insert(Tuple(f"tab{t}", tuple(values)))
         return db
 
     def make_query(self, db: Database, allow_derived=True, depth=0) -> str:

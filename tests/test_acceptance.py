@@ -329,7 +329,7 @@ def test_criterion_5_delete_audits(fixture_session):
         victim = list(db.rows_of("lineitem"))[17]
         td = db.catalog.get("lineitem")
         pk = tuple(victim.values[i] for i in td.pk_indices)
-        db.raw_delete("lineitem", pk)
+        db.apply_row_delete("lineitem", pk)
 
         mismatches = verifier.audit_counts()
         assert len(mismatches) == 1
@@ -345,7 +345,7 @@ def test_criterion_5_delete_audits(fixture_session):
              Value.date("1999-01-01"), Value.date("1999-01-02"),
              Value.text("none"), Value.text("air"), Value.text("dummy")]
         ))
-        db.raw_insert(dummy)
+        db.apply_row_insert(dummy)
         assert verifier.audit_counts() == []
 
         # the full scan is not fooled

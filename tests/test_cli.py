@@ -156,6 +156,24 @@ def test_tamper_delete_plus_dummy_insert_fools_counts_not_full(workdir, capsys):
     assert "MISSING" in captured.err
 
 
+def test_tamper_insert_reads_fields_as_the_csv_loader_does(tmp_path, capsys):
+    # with csv_null = NULL, an --insert field NULL is NULL, as in t.csv
+    (tmp_path / "schema.sql").write_text(
+        "create table t (k integer, n integer, s text, primary key (k));")
+    (tmp_path / "t.csv").write_text("k,n,s\n1,NULL,a\n")
+    conf = tmp_path / "verity.conf"
+    conf.write_text(f"ddl = schema.sql\ncsv_dir = .\nledger = ledger.dat\n"
+                    "peers = 1\ncsv_null = NULL\n")
+    conf = str(conf)
+    assert run(conf, "init") == EXIT_OK
+    assert run(conf, "tamper", "t", "--insert", "2,NULL,b") == EXIT_OK
+    assert run(conf, "tamper", "t", "--insert", "3,5,NULL") == EXIT_OK
+    assert (tmp_path / "t.csv").read_text() == "k,n,s\n1,NULL,a\n2,NULL,b\n3,5,NULL\n"
+    capsys.readouterr()
+    assert run(conf, "tamper", "t", "--insert", "4,x,c") == EXIT_ERROR
+    assert "error: t line 1: " in capsys.readouterr().err
+
+
 def test_ledger_verify_and_history(workdir, capsys):
     _, conf = workdir
     run(conf, "init")

@@ -332,15 +332,16 @@ def random_mutation(rng, db: Database):
     if stored:
         picked = rng.choice(stored)
         pk = tuple(picked[i] for i in td.pk_indices)
-    op = rng.choice(["insert", "update", "delete", "raw_mutate", "raw_delete", "select"])
+    # "delete" twice: a delete is drawn twice as often as each other operation
+    op = rng.choice(["insert", "update", "delete", "raw_mutate", "delete", "select"])
     if op == "select":
         db.exec_select(parse(f"select * from {table}"))
     elif op == "insert" or pk is None:
         row = random_row(rng, table)
         if not db.has_row(table, tuple(row[i] for i in td.pk_indices)):
             db.apply_row_insert(Tuple(table, row))
-    elif op in ("delete", "raw_delete"):
-        getattr(db, "apply_row_delete" if op == "delete" else "raw_delete")(table, pk)
+    elif op == "delete":
+        db.apply_row_delete(table, pk)
     elif op == "update":
         row = random_row(rng, table)
         if rng.random() < 0.7:  # same key; otherwise the key moves

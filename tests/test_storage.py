@@ -47,6 +47,15 @@ def test_ddl_without_primary_key_uses_all_columns():
     assert td.primary_key == ("a", "b")
 
 
+def test_pk_indices_computed_once_and_not_settable():
+    td = Database().create_table("create table t (a integer, b text, c text, primary key (c, a))")
+    assert td.pk_indices == (2, 0)
+    assert td.pk_indices is td.pk_indices
+    with pytest.raises(AttributeError):
+        td.pk_indices = (0,)
+    assert td.pk_indices == (2, 0)
+
+
 def test_duplicate_table_rejected():
     db = Database()
     db.create_table("create table region (r integer)")
@@ -328,16 +337,16 @@ def test_raw_mutate_changes_stored_value_quietly():
 def test_pk_uniqueness_after_mutations():
     db = region_db()
     with pytest.raises(DuplicatePrimaryKey):
-        db.raw_insert(Tuple("region", (Value.integer(0), Value.text("x"), NULL)))
-    db.raw_delete("region", (Value.integer(0),))
-    db.raw_insert(Tuple("region", (Value.integer(0), Value.text("x"), NULL)))
+        db.apply_row_insert(Tuple("region", (Value.integer(0), Value.text("x"), NULL)))
+    db.apply_row_delete("region", (Value.integer(0),))
+    db.apply_row_insert(Tuple("region", (Value.integer(0), Value.text("x"), NULL)))
     assert db.row_count("region") == 5
 
 
 def test_clone_is_independent():
     db = region_db()
     db2 = db.clone()
-    db2.raw_delete("region", (Value.integer(0),))
+    db2.apply_row_delete("region", (Value.integer(0),))
     assert db.row_count("region") == 5
     assert db2.row_count("region") == 4
 

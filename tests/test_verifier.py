@@ -1,5 +1,6 @@
 """Verified pipeline: bootstrap, the four statement flows, detection, audits."""
 
+import hashlib
 import io
 
 import pytest
@@ -15,6 +16,7 @@ from verity.errors import (
     TamperDetected,
     UnsupportedFeature,
 )
+from verity.fingerprint import row_id
 from verity.ledger import SimulatedLedger, generate_peers
 from verity.parser import parse
 from verity.sqlast import QueryKind
@@ -108,6 +110,57 @@ def test_join_fingerprints_each_distinct_row_once(monkeypatch):
     assert sorted(fingerprinted) == sorted(set(fingerprinted)) and len(fingerprinted) == 6
 
 
+def test_update_and_delete_reuse_the_fingerprints_their_select_verified(monkeypatch):
+    db = Database()
+    db.create_table("create table t (k integer, v integer, primary key (k))")
+    db.load_csv("t", io.StringIO("k,v\n" + "".join(f"{k},{k}\n" for k in range(100))))
+    ledger, verifier = make_verified(db)
+    calls = {"fingerprint": 0, "fingerprint_tuple": 0}
+    for name in calls:
+        original = getattr(verity.verifier, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(verity.verifier, name, counted)
+
+    summary, _ = verifier.process("update t set v = v + 1 where k < 50")
+    assert summary.rows_affected == 50
+    assert calls == {"fingerprint": 100, "fingerprint_tuple": 0}  # verify old, new
+    calls.update(fingerprint=0)
+    summary, _ = verifier.process("delete from t where k >= 90")
+    assert summary.rows_affected == 10
+    assert calls == {"fingerprint": 10, "fingerprint_tuple": 0}  # verify old only
+    monkeypatch.undo()
+    assert ledger.verify_chain().ok
+    assert verifier.audit_full() == ([], [])
+    assert verifier.audit_counts() == []
+
+
+def test_update_commits_the_fingerprint_its_scalar_subquery_verified():
+    db = Database()
+    db.create_table("create table t (k integer, v integer, primary key (k))")
+    db.load_csv("t", io.StringIO("k,v\n1,10\n2,20\n3,30\n"))
+    ledger, verifier = make_verified(db)
+    rids = [row_id((Value.integer(k),), "t") for k in (1, 2)]
+    before = [ledger.get_current(rid).fingerprint for rid in rids]
+    blocks = []
+    submit = ledger.submit
+    ledger.submit = lambda drafts, who: blocks.append(submit(drafts, who)) or blocks[-1]
+    summary, report = verifier.process(
+        "update t set v = (select v from t where k = 1) where k <= 2")
+    assert summary.rows_affected == 2
+    assert report.tuples_checked == 2  # row 1 is read twice, verified once
+    # the block passed the ledger's validation, which rejects a stale
+    # prev_fingerprint, and carries each row's bootstrapped fingerprint
+    [block] = blocks
+    assert [(tx.draft.row_id, tx.draft.prev_fingerprint) for tx in block.txs] == \
+        list(zip(rids, before))
+    assert ledger.verify_chain().ok
+    rows, _ = verifier.process("select v from t")
+    assert [r[0].raw for r in rows] == [10, 10, 30]
+
+
 def test_tampered_row_detected_and_rows_withheld(t123_db):
     _, verifier = make_verified(t123_db)
     t123_db.raw_mutate("t2", (Value.integer(7),), "s", Value.integer(999))
@@ -137,7 +190,7 @@ def test_raw_delete_is_invisible_to_select_but_absent_rid_alerts():
     db.create_table("create table t (k integer, v text, primary key (k))")
     db.load_csv("t", io.StringIO("k,v\n1,a\n"))
     _, verifier = make_verified(db)
-    db.raw_insert(Tuple("t", (Value.integer(9), Value.text("dummy"))))
+    db.apply_row_insert(Tuple("t", (Value.integer(9), Value.text("dummy"))))
     with pytest.raises(TamperDetected) as exc:
         verifier.process("select * from t")
     assert exc.value.alerts[0].expected == "ABSENT"
@@ -150,7 +203,7 @@ def test_select_on_deleted_marked_row_alerts():
     _, verifier = make_verified(db)
     verifier.process("delete from t where k = 1")
     # attacker restores the row out of band; its ledger record says deleted
-    db.raw_insert(Tuple("t", (Value.integer(1), Value.text("a"))))
+    db.apply_row_insert(Tuple("t", (Value.integer(1), Value.text("a"))))
     with pytest.raises(TamperDetected) as exc:
         verifier.process("select * from t")
     assert exc.value.alerts[0].expected == "DELETED"
@@ -186,7 +239,7 @@ def test_update_example_end_to_end():
 
 def test_update_subquery_two_rows_aborts_with_nothing_committed():
     db = update_example_db()
-    db.raw_insert(Tuple("t2", (Value.integer(1235), Value.integer(999))))
+    db.apply_row_insert(Tuple("t2", (Value.integer(1235), Value.integer(999))))
     ledger, verifier = make_verified(db)
     head_before = ledger.head_height
     with pytest.raises(NonScalarSubquery):
@@ -409,7 +462,7 @@ def test_audit_counts_catches_raw_delete():
     db.create_table("create table li (k integer, v text, primary key (k))")
     db.load_csv("li", io.StringIO("k,v\n" + "".join(f"{i},w\n" for i in range(10))))
     _, verifier = make_verified(db)
-    db.raw_delete("li", (Value.integer(3),))
+    db.apply_row_delete("li", (Value.integer(3),))
     mismatches = verifier.audit_counts()
     assert len(mismatches) == 1
     m = mismatches[0]
@@ -421,8 +474,8 @@ def test_audit_counts_fooled_by_delete_plus_dummy_insert():
     db.create_table("create table li (k integer, v text, primary key (k))")
     db.load_csv("li", io.StringIO("k,v\n" + "".join(f"{i},w\n" for i in range(10))))
     _, verifier = make_verified(db)
-    db.raw_delete("li", (Value.integer(3),))
-    db.raw_insert(Tuple("li", (Value.integer(99), Value.text("dummy"))))
+    db.apply_row_delete("li", (Value.integer(3),))
+    db.apply_row_insert(Tuple("li", (Value.integer(99), Value.text("dummy"))))
     assert verifier.audit_counts() == []  # the count audit cannot see this
 
 
@@ -431,8 +484,8 @@ def test_audit_full_catches_delete_plus_dummy_insert():
     db.create_table("create table li (k integer, v text, primary key (k))")
     db.load_csv("li", io.StringIO("k,v\n" + "".join(f"{i},w\n" for i in range(10))))
     _, verifier = make_verified(db)
-    db.raw_delete("li", (Value.integer(3),))
-    db.raw_insert(Tuple("li", (Value.integer(99), Value.text("dummy"))))
+    db.apply_row_delete("li", (Value.integer(3),))
+    db.apply_row_insert(Tuple("li", (Value.integer(99), Value.text("dummy"))))
     alerts, missing = verifier.audit_full()
     assert len(alerts) == 1 and alerts[0].expected == "ABSENT"
     assert len(missing) == 1
@@ -457,7 +510,7 @@ def test_audit_full_flags_superset_of_counts():
     db.create_table("create table li (k integer, v text, primary key (k))")
     db.load_csv("li", io.StringIO("k,v\n" + "".join(f"{i},w\n" for i in range(10))))
     _, verifier = make_verified(db)
-    db.raw_delete("li", (Value.integer(3),))
+    db.apply_row_delete("li", (Value.integer(3),))
     count_tables = {m.table for m in verifier.audit_counts()}
     alerts, missing = verifier.audit_full()
     full_tables = {a.table for a in alerts} | {m.table for m in missing}
@@ -478,8 +531,9 @@ def test_alert_log_lines(tmp_path, t123_db):
     lines = log.read_text().strip().split("\n")
     assert len(lines) == 1
     fields = lines[0].split("\t")
-    assert len(fields) == 5
+    assert len(fields) == 6
     assert fields[1] == "t1"
+    assert fields[5] == hashlib.sha256(b"select * from t1").hexdigest()
     assert fields[0].startswith("2023-11-")  # ISO timestamp from the fixed clock
 
 
