@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from .bench import parse_queries_file, run_bench
 from .errors import TamperDetected, VerityError
 from .ledger import SimulatedLedger, generate_peers, load_peers, save_peers
-from .storage import Database, Tuple, csv_row, iter_csv
-from .values import NULL, Value, ValueType, parse_typed, render_value
+from .storage import Database, Tuple, csv_row, csv_value, iter_csv
+from .values import Value, ValueType, parse_typed, render_value
 from .verifier import MutationSummary, Verifier
 
 EXIT_OK = 0
@@ -111,12 +111,18 @@ class Session:
         self.verifier = verifier
 
     def writeback(self, table: str):
+        """Rewrite ``table``'s CSV from storage. A table never loaded is
+        left alone: it has not changed, and its CSV is the only copy of its
+        rows, which opening the file for writing would destroy."""
+        if not self.db.is_loaded(table):
+            return
         path = os.path.join(self.cfg.csv_dir, f"{table}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
             self.db.dump_csv(table, f, self.cfg.csv_null)
 
 
-def _load_database(cfg: SessionConfig, warn=True) -> Database:
+def _open_database(cfg: SessionConfig, warn=True) -> Database:
+    """The schema, with each table's CSV registered to load on first use."""
     db = Database()
     with open(cfg.ddl, encoding="utf-8") as f:
         db.load_ddl(f.read())
@@ -127,13 +133,12 @@ def _load_database(cfg: SessionConfig, warn=True) -> Database:
                 print(f"warning: no CSV for table {table!r}; starting empty",
                       file=sys.stderr)
             continue
-        with open(path, encoding="utf-8", newline="") as f:
-            db.load_csv(table, f, cfg.csv_null)
+        db.register_csv(table, path, cfg.csv_null)
     return db
 
 
 def open_session(cfg: SessionConfig) -> Session:
-    db = _load_database(cfg, warn=False)
+    db = _open_database(cfg, warn=False)
     peers = load_peers(cfg.ledger + ".peers.json")
     ledger = SimulatedLedger.load(cfg.ledger, peers)
     audit_log = cfg.audit_log or cfg.ledger + ".alerts.log"
@@ -213,7 +218,7 @@ def cmd_init(args) -> int:
         print(f"error: ledger file {cfg.ledger!r} exists (use --force to re-init)",
               file=sys.stderr)
         return EXIT_ERROR
-    db = _load_database(cfg, warn=True)
+    db = _open_database(cfg, warn=True)
     peers = generate_peers(cfg.peers)
     # bootstrap in memory; persist only if the whole pass succeeds
     ledger = SimulatedLedger(peers)
@@ -407,8 +412,14 @@ def cmd_tamper(args) -> int:
             col, _, val = args.set.partition("=")
             col = col.strip()
             idx = td.col_index(col)
-            v = NULL if val == "" else parse_typed(val, td.columns[idx].type)
-            db.raw_mutate(td.name, pk, col, v)
+            # the value is one CSV field, read as the CSV loader reads it
+            fields = [f for line in iter_csv(io.StringIO(val)) for f in line] or [("", False)]
+            if len(fields) != 1:
+                print("error: --set takes one CSV field; quote a value with a comma",
+                      file=sys.stderr)
+                return EXIT_ERROR
+            db.raw_mutate(td.name, pk, col,
+                          csv_value(fields[0], td.columns[idx].type, cfg.csv_null))
             action = f"mutated column {col}"
         else:
             print("error: one of --set/--delete/--insert required", file=sys.stderr)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -177,50 +178,49 @@ def _enc_i(i: int | None) -> bytes:
     return _enc(None if i is None else str(i).encode("ascii"))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+_LENGTH = struct.Struct(">I").unpack_from  # a field's 4-byte big-endian length
 
-    def field(self) -> bytes | None:
-        if self.pos >= len(self.data):
-            raise LedgerCorrupt("truncated encoding")
-        tag = self.data[self.pos]
-        self.pos += 1
-        if tag == 0:
-            return None
-        if tag != 1:
+
+def _fields(data: bytes) -> list:
+    """The fields of one encoding, in order: their bytes, or None for an
+    absent field. Raises LedgerCorrupt on a bad presence tag, a truncated
+    length, or a field that overruns the buffer."""
+    out = []
+    append = out.append
+    pos, end = 0, len(data)
+    while pos < end:
+        tag = data[pos]
+        if tag == 1:
+            start = pos + 5
+            if start > end:
+                raise LedgerCorrupt("truncated length")
+            pos = start + _LENGTH(data, pos + 1)[0]
+            if pos > end:
+                raise LedgerCorrupt("field overruns buffer")
+            append(data[start:pos])
+        elif tag == 0:
+            append(None)
+            pos += 1
+        else:
             raise LedgerCorrupt(f"bad presence tag {tag}")
-        if self.pos + 4 > len(self.data):
-            raise LedgerCorrupt("truncated length")
-        n = int.from_bytes(self.data[self.pos:self.pos + 4], "big")
-        self.pos += 4
-        if self.pos + n > len(self.data):
-            raise LedgerCorrupt("field overruns buffer")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+    return out
 
-    def field_s(self) -> str | None:
-        b = self.field()
-        if b is None:
-            return None
-        try:
-            return b.decode("utf-8")
-        except UnicodeDecodeError:
-            raise LedgerCorrupt("bad utf-8 field") from None
 
-    def field_i(self) -> int | None:
-        b = self.field()
-        if b is None:
-            return None
-        try:
-            return int(b.decode("ascii"))
-        except ValueError:
-            raise LedgerCorrupt("bad integer field") from None
+def _texts(fields: list) -> list:
+    """The utf-8 text of each field, None for an absent one."""
+    try:
+        return [None if b is None else b.decode("utf-8") for b in fields]
+    except UnicodeDecodeError:
+        raise LedgerCorrupt("bad utf-8 field") from None
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+
+def _int(b: bytes | None) -> int | None:
+    if b is None:
+        return None
+    try:
+        return int(b.decode("ascii"))
+    except ValueError:
+        raise LedgerCorrupt("bad integer field") from None
 
 
 def draft_bytes(d: TxDraft) -> bytes:
@@ -237,20 +237,6 @@ def draft_bytes(d: TxDraft) -> bytes:
     )
 
 
-def _read_draft(r: _Reader) -> TxDraft:
-    try:
-        kind = TxKind(r.field_s())
-    except ValueError:
-        raise LedgerCorrupt("unknown tx kind") from None
-    row_id = r.field_s()
-    table = r.field_s()
-    fingerprint = r.field_s()
-    prev = r.field_s()
-    delta = r.field_i()
-    owner = r.field_s()
-    return TxDraft(kind, table, owner, row_id, fingerprint, prev, delta)
-
-
 def tx_bytes(tx: LedgerTx) -> bytes:
     parts = [draft_bytes(tx.draft), _enc(tx.submitter_sig), _enc_i(len(tx.endorsements))]
     for peer_id, sig in tx.endorsements:
@@ -259,16 +245,29 @@ def tx_bytes(tx: LedgerTx) -> bytes:
     return b"".join(parts)
 
 
-def _read_tx(r: _Reader) -> LedgerTx:
-    draft = _read_draft(r)
-    sig = r.field()
-    n = r.field_i()
+_KINDS = {k.value: k for k in TxKind}
+
+
+def _read_tx(raw: bytes) -> LedgerTx:
+    f = _fields(raw)
+    if len(f) < 9:
+        raise LedgerCorrupt("truncated encoding")
+    kind, row_id, table, fingerprint, prev, owner = _texts(f[:5] + f[6:7])
+    if kind not in _KINDS:
+        raise LedgerCorrupt("unknown tx kind")
+    n = _int(f[8])
     if n is None or n < 0:
         raise LedgerCorrupt("bad endorsement count")
-    endorsements = []
-    for _ in range(n):
-        endorsements.append((r.field_s(), r.field()))
-    return LedgerTx(draft, sig, tuple(endorsements))
+    _check_length(f, 9 + 2 * n, "tx")
+    draft = TxDraft(_KINDS[kind], table, owner, row_id, fingerprint, prev, _int(f[5]))
+    return LedgerTx(draft, f[7], tuple(zip(_texts(f[9::2]), f[10::2])))
+
+
+def _check_length(fields: list, expected: int, what: str):
+    if len(fields) < expected:
+        raise LedgerCorrupt("truncated encoding")
+    if len(fields) > expected:
+        raise LedgerCorrupt(f"trailing bytes in {what}")
 
 
 def block_bytes(b: Block) -> bytes:
@@ -279,25 +278,16 @@ def block_bytes(b: Block) -> bytes:
 
 
 def decode_block(raw: bytes) -> Block:
-    r = _Reader(raw)
-    height = r.field_i()
-    prev = r.field()
-    ts = r.field_i()
-    n = r.field_i()
+    f = _fields(raw)
+    if len(f) < 4:
+        raise LedgerCorrupt("truncated encoding")
+    height, prev, ts, n = _int(f[0]), f[1], _int(f[2]), _int(f[3])
     if height is None or prev is None or ts is None or n is None or n < 0:
         raise LedgerCorrupt("missing block field")
-    txs = []
-    for _ in range(n):
-        txraw = r.field()
-        if txraw is None:
-            raise LedgerCorrupt("missing tx")
-        tr = _Reader(txraw)
-        txs.append(_read_tx(tr))
-        if not tr.done():
-            raise LedgerCorrupt("trailing bytes in tx")
-    if not r.done():
-        raise LedgerCorrupt("trailing bytes in block")
-    return Block(height, prev, ts, tuple(txs))
+    _check_length(f, 4 + n, "block")
+    if None in f[4:]:
+        raise LedgerCorrupt("missing tx")
+    return Block(height, prev, ts, tuple([_read_tx(txraw) for txraw in f[4:]]))
 
 
 def block_hash(raw: bytes) -> bytes:

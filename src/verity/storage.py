@@ -25,6 +25,14 @@ nothing, so every evaluated filter still sees, and raises on, the rows the
 full scan would show it. ``dump_csv`` renders each
 row's CSV line once and reuses it while that row object stays stored.
 
+Tables load on first use. ``register_csv`` names a table's CSV file, and
+the first call that touches the table (a read, a mutation, a row count, an
+audit, a clone) parses it through ``load_csv``; a statement on one table
+parses that table's CSV alone. A malformed CSV therefore fails the first
+statement that touches its table, not the opening of the session, and fails
+every later touch with the same error: a table is installed only once all
+of its CSV has parsed, so none is ever half loaded.
+
 Mutations go through ``apply_row_insert``, ``apply_row_update`` and
 ``apply_row_delete``, which the verified pipeline calls once the ledger has
 committed, or ``raw_mutate``, which sets one column of a stored row. Called
@@ -699,6 +707,8 @@ class Database:
     def __init__(self):
         self.catalog = Catalog()
         self._tables: dict[str, _Table] = {}
+        # tables registered with a CSV not yet loaded: name -> (path, null literal)
+        self._csv_sources: dict[str, tuple[str, str]] = {}
 
     # schema & loading
 
@@ -715,8 +725,21 @@ class Database:
                 defs.append(self.create_table(stmt))
         return defs
 
+    def register_csv(self, table: str, path: str, null_literal: str = ""):
+        """Have ``table`` loaded from the CSV file at ``path`` when something
+        first touches it (``_table``), not now."""
+        self._csv_sources[self.catalog.get(table).name] = (path, null_literal)
+
+    def is_loaded(self, table: str) -> bool:
+        """False while ``table``'s registered CSV has not been loaded."""
+        return self.catalog.get(table).name not in self._csv_sources
+
     def load_csv(self, table: str, stream, null_literal: str = "") -> int:
-        t = self._table(table)
+        """Add the rows of a CSV stream to ``table``, all or none: they go
+        into a copy of the table, which replaces it only once every line has
+        parsed. A table that loads ends its ``register_csv`` registration."""
+        d = self.catalog.get(table)
+        t = self._tables[d.name].copy()
         reader = iter_csv(stream)
         try:
             header = next(reader)
@@ -733,6 +756,8 @@ class Database:
                 raise ArityError(f"{table} line {lineno}: expected {len(t.d.columns)} fields")
             t.insert(csv_row(t.d, fields, null_literal, lineno))
             n += 1
+        self._tables[d.name] = t
+        self._csv_sources.pop(d.name, None)
         return n
 
     def dump_csv(self, table: str, stream, null_literal: str = ""):
@@ -754,8 +779,16 @@ class Database:
         stream.write("".join(out))
 
     def _table(self, name: str) -> _Table:
-        self.catalog.get(name)
-        return self._tables[name.lower()]
+        """The one way to a table's storage. A table registered with a CSV is
+        loaded here on first use; when that CSV does not load, the table
+        stays unloaded and every touch raises the same error again."""
+        name = self.catalog.get(name).name
+        source = self._csv_sources.get(name)
+        if source is not None:
+            path, null_literal = source
+            with open(path, encoding="utf-8", newline="") as f:
+                self.load_csv(name, f, null_literal)
+        return self._tables[name]
 
     # reads
 
@@ -826,12 +859,12 @@ class Database:
     # misc
 
     def clone(self) -> "Database":
-        """Independent copy. Rows are tuples of immutable Values, so the
-        row objects themselves can be shared."""
+        """Independent copy, every table loaded. Rows are tuples of immutable
+        Values, so the row objects themselves can be shared."""
         db = Database()
         for name, d in self.catalog.tables.items():
             db.catalog.tables[name] = d
-            db._tables[name] = self._tables[name].copy()
+            db._tables[name] = self._table(name).copy()
         return db
 
 
@@ -967,22 +1000,26 @@ def iter_csv(stream):
         yield fields
 
 
+def csv_value(field: tuple[str, bool], col_type: ValueType, null_literal: str) -> Value:
+    """The value of one CSV ``(text, quoted)`` field in a column of
+    ``col_type``: NULL when the field is unquoted and equal to
+    ``null_literal``, else the text parsed as ``col_type``, so a quoted field
+    spells a text equal to the null literal."""
+    raw, quoted = field
+    if not quoted and raw == null_literal:
+        return NULL
+    return parse_typed(raw, col_type)
+
+
 def csv_row(d: TableDef, fields, null_literal: str, lineno: int) -> Row:
-    """The row of table ``d`` that one CSV line's ``(text, quoted)`` fields
-    stand for, one field per column: an unquoted field equal to
-    ``null_literal`` is NULL, any other is parsed as its column's type. A
-    field that does not parse raises ValueTypeError naming ``d`` and
-    ``lineno``."""
-    row = []
-    for (raw, quoted), col in zip(fields, d.columns):
-        if not quoted and raw == null_literal:
-            row.append(NULL)
-            continue
-        try:
-            row.append(parse_typed(raw, col.type))
-        except ValueTypeError as exc:
-            raise ValueTypeError(f"{d.name} line {lineno}: {exc}") from None
-    return tuple(row)
+    """The row of table ``d`` that one CSV line's fields stand for, one field
+    per column (``csv_value``). A field that does not parse raises
+    ValueTypeError naming ``d`` and ``lineno``."""
+    try:
+        return tuple([csv_value(f, col.type, null_literal)
+                      for f, col in zip(fields, d.columns)])
+    except ValueTypeError as exc:
+        raise ValueTypeError(f"{d.name} line {lineno}: {exc}") from None
 
 
 def write_csv_row(stream, fields, null_literal: str = ""):

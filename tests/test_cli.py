@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from verity.cli import EXIT_ERROR, EXIT_OK, EXIT_TAMPER, SessionConfig, main
+from verity.cli import EXIT_ERROR, EXIT_OK, EXIT_TAMPER, SessionConfig, main, open_session
 from verity.errors import VerityError
 from verity.fixtures import generate_fixture
 
@@ -254,3 +254,42 @@ def test_repl_basic_flow(workdir, capsys, monkeypatch):
     assert "africa" in out
     assert "chain ok" in out
     assert "all tables match" in out
+
+
+@pytest.mark.parametrize("assignment,stored,line", [
+    ("s=NULL", "NULL", "1,7,NULL"),        # unquoted null literal: NULL
+    ("n=NULL", "NULL", "1,NULL,a"),        # NULL in an INTEGER column, no error
+    ('s="NULL"', "'NULL'", '1,7,"NULL"'),  # quoted: the text NULL
+    ("s=", "''", '1,7,""'),                # empty: the empty text
+])
+def test_tamper_set_reads_its_value_as_the_csv_loader_does(tmp_path, assignment,
+                                                           stored, line):
+    (tmp_path / "schema.sql").write_text(
+        "create table t (k integer, n integer, s text, primary key (k));")
+    (tmp_path / "t.csv").write_text("k,n,s\n1,7,a\n")
+    conf = tmp_path / "verity.conf"
+    conf.write_text(f"ddl = schema.sql\ncsv_dir = .\nledger = ledger.dat\n"
+                    "peers = 1\ncsv_null = NULL\n")
+    conf = str(conf)
+    assert run(conf, "init") == EXIT_OK
+    assert run(conf, "tamper", "t", "--pk", "1", "--set", assignment) == EXIT_OK
+    assert (tmp_path / "t.csv").read_text() == f"k,n,s\n{line}\n"
+    # the value the next session reads back
+    db = open_session(SessionConfig.from_file(conf)).db
+    v = next(db.rows_of("t")).values["kns".index(assignment[0])]
+    assert ("NULL" if v.is_null else repr(v.raw)) == stored
+
+
+def test_tamper_set_refuses_more_than_one_field(tmp_path, capsys):
+    (tmp_path / "schema.sql").write_text(
+        "create table t (k integer, s text, primary key (k));")
+    (tmp_path / "t.csv").write_text("k,s\n1,a\n")
+    conf = tmp_path / "verity.conf"
+    conf.write_text("ddl = schema.sql\ncsv_dir = .\nledger = ledger.dat\npeers = 1\n")
+    conf = str(conf)
+    assert run(conf, "init") == EXIT_OK
+    capsys.readouterr()
+    assert run(conf, "tamper", "t", "--pk", "1", "--set", "s=a,b") == EXIT_ERROR
+    assert "one CSV field" in capsys.readouterr().err
+    assert run(conf, "tamper", "t", "--pk", "1", "--set", 's="a,b"') == EXIT_OK
+    assert (tmp_path / "t.csv").read_text() == 'k,s\n1,"a,b"\n'
