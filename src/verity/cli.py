@@ -323,12 +323,7 @@ def _repl_meta(session: Session, line: str):
     elif cmd == ".ledger":
         sub = parts[1] if len(parts) > 1 else "verify"
         if sub == "verify":
-            rep = session.ledger.verify_chain()
-            if rep.ok:
-                print(f"chain ok, head height {rep.head_height}")
-            else:
-                print(f"chain BAD at height {rep.first_bad_height} "
-                      f"(head {rep.head_height})")
+            _verify_chain(session)
         elif sub == "history" and len(parts) == 3:
             _history(session, parts[2])
         else:
@@ -337,6 +332,15 @@ def _repl_meta(session: Session, line: str):
         print(f"unknown meta command {cmd}; try .tables .schema .audit .ledger .quit",
               file=sys.stderr)
     return None
+
+
+def _verify_chain(session: Session) -> int:
+    rep = session.ledger.verify_chain()
+    if rep.ok:
+        print(f"chain ok, head height {rep.head_height}")
+        return EXIT_OK
+    print(f"chain BAD at height {rep.first_bad_height} (head {rep.head_height})")
+    return EXIT_TAMPER
 
 
 def _history(session: Session, rid: str):
@@ -475,12 +479,7 @@ def cmd_ledger(args) -> int:
     cfg = resolve_config(args.config)
     session = open_session(cfg)
     if args.action == "verify":
-        rep = session.ledger.verify_chain()
-        if rep.ok:
-            print(f"chain ok, head height {rep.head_height}")
-            return EXIT_OK
-        print(f"chain BAD at height {rep.first_bad_height} (head {rep.head_height})")
-        return EXIT_TAMPER
+        return _verify_chain(session)
     if args.action == "history":
         if not args.row_id:
             print("error: row id required", file=sys.stderr)

@@ -1,11 +1,17 @@
 """Simulated permissioned blockchain holding tuple fingerprints.
 
 Blocks are hash-chained (SHA-256 over a canonical byte encoding) and carry
-endorsed transactions. All peers live in-process: each re-validates every
-draft against the world state and endorses by signing the draft's canonical
-bytes with its Ed25519 key. A batch commits as one block only if every
-transaction gathers a majority quorum of valid endorsements; a single
-rejection aborts the whole batch.
+endorsed transactions. All peers live in-process and share one world state,
+so a batch is checked once against it; then every peer endorses each draft
+by signing its canonical bytes with its Ed25519 key. A batch commits as one
+block only if every draft is valid and gathers a majority quorum of valid
+endorsements; a single rejection aborts the whole batch.
+
+The world state (each row's fingerprint record, each table's row count) is
+derived, never stored: ``load`` replays every block through the one rule
+``submit`` checks (``_transition``). A block that does not decode, or that
+the rule refuses, is left unapplied and reported by ``verify_chain``.
+Replay checks hashes and state, not signatures.
 
 One ``submit`` at a time (externally serialized); reads may interleave
 between submissions.
@@ -24,7 +30,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -296,12 +302,11 @@ def block_hash(raw: bytes) -> bytes:
 
 # --- the ledger ---------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _Entry:
     raw: bytes
     hash: bytes
-    block: Block | None
-    error: str | None = None
+    block: Block | None  # None: it did not decode or broke the world-state rule
 
 
 class LedgerInterface:
@@ -368,14 +373,17 @@ class SimulatedLedger(LedgerInterface):
                 break
             raw = data[i + 4:i + 4 + n]
             stored = data[i + 4 + n:i + 4 + n + 32]
+            # a block that does not decode, or that the world-state rule
+            # refuses, is left unapplied; verify_chain reports it
             try:
                 blk = decode_block(raw)
-                err = None
-            except LedgerCorrupt as exc:
-                blk, err = None, str(exc)
-            led._entries.append(_Entry(raw, stored, blk, err))
-            if blk is not None:
-                led._apply_block(blk)
+                records, counts = led._transition([tx.draft for tx in blk.txs], blk.height)
+            except LedgerError:
+                blk = None
+            else:
+                led._records.update(records)
+                led._counts.update(counts)
+            led._entries.append(_Entry(raw, stored, blk))
             i += 4 + n + 32
             idx += 1
         if not led._entries and led._tail_error_at is None:
@@ -383,12 +391,13 @@ class SimulatedLedger(LedgerInterface):
         return led
 
     def clone_in_memory(self) -> "SimulatedLedger":
-        """Replay into a fresh, unpersisted ledger (used by the benchmark)."""
+        """A fresh, unpersisted ledger in the same state (used by the
+        benchmark). Entries and records are immutable, so they are shared."""
         led = SimulatedLedger(self.peers, path=None, clock=self.clock, _defer_genesis=True)
-        for e in self._entries:
-            led._entries.append(e)
-            if e.block is not None:
-                led._apply_block(e.block)
+        led._entries = list(self._entries)
+        led._records = dict(self._records)
+        led._counts = dict(self._counts)
+        led._tail_error_at = self._tail_error_at
         return led
 
     def persist_to(self, path: str):
@@ -444,7 +453,8 @@ class SimulatedLedger(LedgerInterface):
 
         # the peers share one world state, so the batch is validated once;
         # then every peer endorses each draft
-        self._validate_batch(drafts)
+        height = len(self._entries)
+        records, counts = self._transition(drafts, height)
         endorsements: list[list[tuple[str, bytes]]] = [[] for _ in drafts]
         for p in self.peers:
             for i, payload in enumerate(payloads):
@@ -462,83 +472,63 @@ class SimulatedLedger(LedgerInterface):
             txs.append(LedgerTx(d, peer.sign(payloads[i]), tuple(sigs)))
 
         block = Block(
-            height=len(self._entries),
+            height=height,
             prev_hash=self._entries[-1].hash if self._entries else GENESIS_PREV,
             timestamp=self.clock(),
             txs=tuple(txs),
         )
         self._append_block(block)
-        self._apply_block(block)
+        self._records.update(records)
+        self._counts.update(counts)
         return block
 
-    def _validate_batch(self, drafts: list[TxDraft]):
-        """Check a batch against the committed state; drafts see the effects
-        of earlier drafts in the same batch. Raises on first rejection."""
-        states: dict[str, tuple[str, str]] = {}  # row id -> (status, fingerprint)
-        counts = dict(self._counts)
-
-        def state(rid: str) -> tuple[str, str] | None:
-            if rid in states:
-                return states[rid]
-            rec = self._records.get(rid)
-            return (rec.status, rec.fingerprint) if rec else None
-
+    def _transition(self, drafts: list[TxDraft], height: int) -> tuple[dict, dict]:
+        """The world-state rule, shared by ``submit`` and ``load``: check each
+        draft against the state left by the drafts before it, and return the
+        records and row counts the batch changes (installing nothing). Raises
+        on the first draft that state does not allow."""
+        records: dict[str, FingerprintRecord] = {}
+        counts: dict[str, int] = {}
         for i, d in enumerate(drafts):
+            if d.table is None or d.owner is None:
+                raise EndorsementFailed(i, f"{d.kind.value} needs a table and an owner")
             if d.kind is TxKind.ADJUST_ROW_COUNT:
                 if d.delta is None:
                     raise EndorsementFailed(i, "adjust_row_count needs a delta")
-                new = counts.get(d.table, 0) + d.delta
+                new = counts.get(d.table, self._counts.get(d.table, 0)) + d.delta
                 if new < 0:
                     raise EndorsementFailed(i, f"row count of {d.table} would become {new}")
                 counts[d.table] = new
                 continue
             if d.row_id is None:
                 raise EndorsementFailed(i, f"{d.kind.value} needs a row_id")
-            st = state(d.row_id)
+            rec = records.get(d.row_id) or self._records.get(d.row_id)
             if d.kind is TxKind.PUT:
                 if d.fingerprint is None:
                     raise EndorsementFailed(i, "put needs a fingerprint")
-                if st is not None and st[0] == "active":
+                if rec is not None and rec.status == "active":
                     raise DuplicateRowId(f"active fingerprint already exists for {d.row_id}")
-                states[d.row_id] = ("active", d.fingerprint)
-            elif d.kind in (TxKind.UPDATE, TxKind.MARK_DELETED):
-                if st is None:
+                status, fp = "active", d.fingerprint
+            else:  # UPDATE or MARK_DELETED
+                if rec is None:
                     raise EndorsementFailed(i, f"no ledger record for {d.row_id}")
-                status, fp = st
-                if status != "active":
+                if rec.status != "active":
                     raise EndorsementFailed(i, f"record {d.row_id} is marked deleted")
-                if d.prev_fingerprint != fp:
-                    raise StaleState(d.row_id, fp, d.prev_fingerprint)
-                if d.kind is TxKind.UPDATE:
-                    if d.fingerprint is None:
-                        raise EndorsementFailed(i, "update needs a fingerprint")
-                    states[d.row_id] = ("active", d.fingerprint)
+                if d.prev_fingerprint != rec.fingerprint:
+                    raise StaleState(d.row_id, rec.fingerprint, d.prev_fingerprint)
+                if d.kind is TxKind.MARK_DELETED:
+                    status, fp = "deleted", rec.fingerprint
+                elif d.fingerprint is None:
+                    raise EndorsementFailed(i, "update needs a fingerprint")
                 else:
-                    states[d.row_id] = ("deleted", fp)
-
-    # committed-state application (also used for replay)
-
-    def _apply_block(self, block: Block):
-        for tx in block.txs:
-            d = tx.draft
-            if d.kind is TxKind.ADJUST_ROW_COUNT:
-                self._counts[d.table] = self._counts.get(d.table, 0) + d.delta
-                continue
-            rec = self._records.get(d.row_id)
-            if d.kind is TxKind.PUT:
-                status, fp, logged = "active", d.fingerprint, d.fingerprint
-            elif rec is None:
-                continue
-            elif d.kind is TxKind.UPDATE:
-                status, fp, logged = rec.status, d.fingerprint, d.fingerprint
-            else:  # MARK_DELETED
-                status, fp, logged = "deleted", rec.fingerprint, d.prev_fingerprint
-            entry = HistoryEntry(logged, d.owner, block.height)
+                    status, fp = "active", d.fingerprint
+            entry = HistoryEntry(fp, d.owner, height)
             history = rec.history + (entry,) if rec else (entry,)
-            table = rec.table if rec else d.table
-            # one history entry per applied change, so its length is the version
-            self._records[d.row_id] = FingerprintRecord(
-                d.row_id, table, status, fp, d.owner, len(history), history)
+            # one history entry per change, so its length is the version
+            records[d.row_id] = FingerprintRecord(
+                d.row_id, rec.table if rec else d.table, status, fp, d.owner,
+                len(history), history)
+        return records, counts
 
     def _append_block(self, block: Block):
         raw = block_bytes(block)
@@ -553,31 +543,16 @@ class SimulatedLedger(LedgerInterface):
     # chain verification
 
     def verify_chain(self) -> ChainReport:
-        first_bad = None
+        first_bad = self._tail_error_at
+        prev_hash = GENESIS_PREV
         for i, e in enumerate(self._entries):
-            if e.block is None:
+            if (e.block is None or block_hash(e.raw) != e.hash
+                    or e.block.height != i or e.block.prev_hash != prev_hash):
                 first_bad = i
                 break
-            if block_hash(e.raw) != e.hash:
-                first_bad = i
-                break
-            if e.block.height != i:
-                first_bad = i
-                break
-            if i == 0:
-                if e.block.prev_hash != GENESIS_PREV:
-                    first_bad = 0
-                    break
-            elif e.block.prev_hash != self._entries[i - 1].hash:
-                first_bad = i
-                break
-        if first_bad is None and self._tail_error_at is not None:
-            first_bad = self._tail_error_at
-        return ChainReport(
-            ok=first_bad is None,
-            first_bad_height=first_bad,
-            head_height=self.head_height,
-        )
+            prev_hash = e.hash
+        return ChainReport(ok=first_bad is None, first_bad_height=first_bad,
+                           head_height=self.head_height)
 
     # world-state snapshot (for replay-equality checks)
 

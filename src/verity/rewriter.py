@@ -139,7 +139,7 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> _Level:
             continue
         name = ast.output_name(item, i)
         if as_derived and not isinstance(item.expr, ast.ColumnRef):
-            if ast.expr_has_aggregate(item.expr):
+            if any(ast.aggregates(item.expr)):
                 raise UnsupportedFeature("aggregate inside a nested subquery")
             outputs.append((ast.BoundCol(len(refs) + len(extras)), name))
             extras.append((requalify(item.expr), name))

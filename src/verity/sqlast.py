@@ -236,14 +236,15 @@ def has_nested_select(q: Query) -> bool:
     return n > 0
 
 
-def expr_has_aggregate(e: Expr | Star) -> bool:
+def aggregates(e):
+    """The aggregate calls in expression ``e``, left to right."""
     if isinstance(e, Aggregate):
-        return True
-    if isinstance(e, BinaryOp):
-        return expr_has_aggregate(e.left) or expr_has_aggregate(e.right)
-    if isinstance(e, UnaryMinus):
-        return expr_has_aggregate(e.operand)
-    return False
+        yield e
+    elif isinstance(e, BinaryOp):
+        yield from aggregates(e.left)
+        yield from aggregates(e.right)
+    elif isinstance(e, UnaryMinus):
+        yield from aggregates(e.operand)
 
 
 # --- rendering -------------------------------------------------------------

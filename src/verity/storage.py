@@ -740,7 +740,14 @@ class Database:
         parsed. A table that loads ends its ``register_csv`` registration."""
         d = self.catalog.get(table)
         t = self._tables[d.name].copy()
-        reader = iter_csv(stream)
+
+        def records():
+            try:
+                yield from iter_csv(stream)
+            except ValueTypeError as exc:  # names its line, not its table
+                raise ValueTypeError(f"{table} {exc}") from None
+
+        reader = records()
         try:
             header = next(reader)
         except StopIteration:
@@ -891,12 +898,9 @@ def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
     none). Plain column outputs are picked by position; a row that already
     is its output is passed on as it is.
     """
-    if any(ast.expr_has_aggregate(e) for e in exprs):
-        agg_values: dict = {}
-        for e in exprs:
-            for node in find_aggregates(e):
-                if node not in agg_values:
-                    agg_values[node] = eval_aggregate(node, rows)
+    aggs = dict.fromkeys(node for e in exprs for node in ast.aggregates(e))
+    if aggs:
+        agg_values = {node: eval_aggregate(node, rows) for node in aggs}
         base = rows[0] if rows else (NULL,) * width
         return [tuple(eval_expr(e, base, agg_values) for e in exprs)]
     if all(isinstance(e, ast.BoundCol) for e in exprs):
@@ -909,16 +913,6 @@ def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
         pick = operator.itemgetter(*positions)
         return [pick(row) for row in rows]
     return [tuple(eval_expr(e, row) for e in exprs) for row in rows]
-
-
-def find_aggregates(e):
-    if isinstance(e, ast.Aggregate):
-        yield e
-    elif isinstance(e, ast.BinaryOp):
-        yield from find_aggregates(e.left)
-        yield from find_aggregates(e.right)
-    elif isinstance(e, ast.UnaryMinus):
-        yield from find_aggregates(e.operand)
 
 
 def eval_aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:
@@ -960,11 +954,16 @@ def eval_aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:
 # fields are eligible to be NULL markers.
 
 def iter_csv(stream):
+    """The records of a CSV stream, each a list of ``(text, quoted)`` fields.
+    A quoted field left open raises ValueTypeError naming its record's line,
+    counted from 1 as records, not as physical lines."""
     data = stream.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     i, n = 0, len(data)
+    lineno = 0
     while i < n:
+        lineno += 1
         fields: list[tuple[str, bool]] = []
         while True:
             if i < n and data[i] == '"':
@@ -972,7 +971,7 @@ def iter_csv(stream):
                 buf = []
                 while True:
                     if i >= n:
-                        raise ValueTypeError("unterminated quoted CSV field")
+                        raise ValueTypeError(f"line {lineno}: unterminated quoted CSV field")
                     if data[i] == '"':
                         if i + 1 < n and data[i + 1] == '"':
                             buf.append('"')

@@ -96,10 +96,6 @@ class Value:
     def date(s: str) -> "Value":
         return Value(ValueType.DATE, s)
 
-    @staticmethod
-    def null() -> "Value":
-        return NULL
-
     @property
     def is_null(self) -> bool:
         return self.kind is ValueType.NULL

@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The SF 0.001 fixture database is generated and bootstrapped once per
-session; tests that mutate state work on clones (storage rows are immutable
-tuples, and ledger clones replay committed blocks), so the expensive
-endorsement crypto runs a single time.
+session; tests that mutate state work on clones (storage rows and ledger
+records are immutable, so clones share them), so the expensive endorsement
+crypto runs a single time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,15 @@ from decimal import Decimal
 import pytest
 
 from verity.fixtures import generate_fixture
-from verity.ledger import SimulatedLedger, generate_peers
+from verity.ledger import (
+    Block,
+    LedgerTx,
+    SimulatedLedger,
+    block_bytes,
+    block_hash,
+    draft_bytes,
+    generate_peers,
+)
 from verity.storage import Database
 from verity.values import NULL, Value
 from verity.verifier import Verifier
@@ -88,6 +96,26 @@ def fixture_session(_session_state):
     db2 = db.clone()
     led2 = ledger.clone_in_memory()
     return db2, led2, Verifier(db2, led2, "peer-1")
+
+
+# --- forged ledger blocks ------------------------------------------------------
+
+def append_forged_block(path, peers, drafts) -> int:
+    """Append to the ledger file at ``path`` one block of ``drafts``, hash-linked
+    to the file's last block and signed by every peer, as someone holding the
+    keys could write it without ``submit`` checking it. Returns its height."""
+    with open(path, "rb") as f:
+        prev_hash = f.read()[-32:]  # a record ends with its block's hash
+    height = SimulatedLedger.load(path, peers).head_height + 1
+    txs = []
+    for d in drafts:
+        payload = draft_bytes(d)
+        sigs = tuple((p.peer_id, p.sign(payload)) for p in peers)
+        txs.append(LedgerTx(d, peers[0].sign(payload), sigs))
+    raw = block_bytes(Block(height, prev_hash, 0, tuple(txs)))
+    with open(path, "ab") as f:
+        f.write(len(raw).to_bytes(4, "big") + raw + block_hash(raw))
+    return height
 
 
 # --- independent oracle: brute-force SELECT evaluation -------------------------
@@ -209,7 +237,7 @@ def _brute_join_project(q, sources):
                 item.expr.column if isinstance(item.expr, ast.ColumnRef) else f"expr_{i}"
             ))
 
-    has_agg = any(ast.expr_has_aggregate(e) for e in exprs)
+    has_agg = any(any(ast.aggregates(e)) for e in exprs)
     if has_agg:
         def agg_val(node):
             if node.is_count_star:
@@ -249,7 +277,7 @@ def _brute_join_project(q, sources):
 
         base = joined[0] if joined else None
         out = tuple(
-            ev_agg(e, base) if (base is not None or ast.expr_has_aggregate(e)) else None
+            ev_agg(e, base) if (base is not None or any(ast.aggregates(e))) else None
             for e in exprs
         )
         return [out], names_out

@@ -5,9 +5,11 @@ import os
 
 import pytest
 
+from conftest import append_forged_block
 from verity.cli import EXIT_ERROR, EXIT_OK, EXIT_TAMPER, SessionConfig, main, open_session
 from verity.errors import VerityError
 from verity.fixtures import generate_fixture
+from verity.ledger import TxDraft, TxKind, load_peers
 
 TINY_COUNTS = {"customer": 12, "lineitem": 30, "nation": 25, "orders": 10,
                "part": 6, "partsupp": 12, "region": 5, "supplier": 4}
@@ -199,6 +201,18 @@ def test_ledger_verify_detects_file_tampering(workdir, capsys):
     data[len(data) // 2] ^= 0x01
     path.write_bytes(bytes(data))
     assert run(conf, "ledger", "verify") == EXIT_TAMPER
+
+
+def test_ledger_verify_reports_a_block_the_state_refuses(workdir, capsys):
+    tmp, conf = workdir
+    run(conf, "init")
+    path = str(tmp / "state" / "ledger.dat")
+    draft = TxDraft(TxKind.ADJUST_ROW_COUNT, "region", "peer-1")  # no delta
+    height = append_forged_block(path, load_peers(path + ".peers.json"), [draft])
+    capsys.readouterr()
+    assert run(conf, "ledger", "verify") == EXIT_TAMPER
+    assert f"chain BAD at height {height} (head {height})" in capsys.readouterr().out
+    assert run(conf, "exec", "select * from region") == EXIT_OK
 
 
 def test_json_lines_output(workdir, capsys):

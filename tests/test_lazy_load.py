@@ -181,9 +181,13 @@ def test_load_csv_adds_all_rows_or_none():
     db = Database()
     db.load_ddl("create table t (k integer, v integer, primary key (k));")
     db.load_csv("t", io.StringIO("k,v\n1,10\n"))
-    with pytest.raises(ValueTypeError, match="^t line 3: "):
-        db.load_csv("t", io.StringIO("k,v\n2,20\n3,oops\n"))
-    assert [r.values[0].raw for r in db.rows_of("t")] == [1]
+    for csv, error in [
+        ("k,v\n2,20\n3,oops\n", "^t line 3: "),
+        ('k,v\n2,20\n3,"30\n4,40\n', "^t line 3: unterminated quoted CSV field$"),
+    ]:
+        with pytest.raises(ValueTypeError, match=error):
+            db.load_csv("t", io.StringIO(csv))
+        assert [r.values[0].raw for r in db.rows_of("t")] == [1]
 
 
 def test_init_and_sessions_share_one_registration_path(state, monkeypatch):

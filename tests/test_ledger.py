@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import append_forged_block
 from verity.errors import (
     DuplicateRowId,
     EndorsementFailed,
@@ -254,12 +255,75 @@ def build_persisted(tmp_path, blocks=10):
     return path, peers, led
 
 
+R1, R2 = "1" * 64, "2" * 64
+
+
+def build_mixed(tmp_path):
+    """A persisted ledger whose history uses every kind of transaction."""
+    path = str(tmp_path / "ledger.dat")
+    peers = generate_peers(5)
+    led = SimulatedLedger(peers, path=path, clock=lambda: 777)
+
+    def tx(kind, rid=None, fp=None, prev=None, delta=None, table="t"):
+        return TxDraft(kind, table, "peer-1", rid, fp, prev, delta)
+
+    for batch in (
+        [tx(TxKind.PUT, R1, FP1), tx(TxKind.PUT, R2, FP2),
+         tx(TxKind.ADJUST_ROW_COUNT, delta=2)],
+        [tx(TxKind.UPDATE, R1, FP3, prev=FP1)],
+        [tx(TxKind.MARK_DELETED, R2, prev=FP2), tx(TxKind.ADJUST_ROW_COUNT, delta=-1)],
+        [tx(TxKind.PUT, R2, FP1), tx(TxKind.ADJUST_ROW_COUNT, delta=1)],
+        [tx(TxKind.ADJUST_ROW_COUNT, delta=5, table="u")],
+        [tx(TxKind.ADJUST_ROW_COUNT, delta=-3, table="u")],
+    ):
+        led.submit(batch, "peer-1")
+    return path, peers, led
+
+
 def test_reload_reconstructs_identical_world_state(tmp_path):
-    path, peers, led = build_persisted(tmp_path)
+    path, peers, led = build_mixed(tmp_path)
     led2 = SimulatedLedger.load(path, peers)
-    assert led2.head_height == led.head_height
+    assert led2.head_height == led.head_height == 6
     assert led2.world_state() == led.world_state()
     assert led2.verify_chain().ok
+    assert (led2.get_row_count("t"), led2.get_row_count("u")) == (2, 2)
+    r1, r2 = led2.get_current(R1), led2.get_current(R2)
+    assert (r1.status, r1.fingerprint, r1.version) == ("active", FP3, 2)
+    assert (r2.status, r2.fingerprint, r2.version) == ("active", FP1, 3)
+    assert [(e.fingerprint, e.height) for e in r2.history] == [(FP2, 1), (FP2, 3), (FP1, 4)]
+
+
+@pytest.mark.parametrize("draft", [
+    # an UPDATE whose prev_fingerprint is not R1's current FP3
+    TxDraft(TxKind.UPDATE, "t", "peer-1", R1, FP2, prev_fingerprint=FP1),
+    TxDraft(TxKind.ADJUST_ROW_COUNT, "t", "peer-1"),  # no delta
+    TxDraft(TxKind.MARK_DELETED, "t", "peer-1", "9" * 64, prev_fingerprint=FP1),
+    TxDraft(TxKind.PUT, "t", "peer-1", R1, FP2),  # R1 is active
+    TxDraft(TxKind.PUT, None, "peer-1", "9" * 64, FP2),  # no table
+], ids=["stale-update", "adjust-without-delta", "delete-unknown-row",
+        "put-over-active-row", "put-without-table"])
+def test_replay_leaves_a_block_the_state_refuses_unapplied(tmp_path, draft):
+    path, peers, led = build_mixed(tmp_path)
+    height = append_forged_block(path, peers, [draft])
+    led2 = SimulatedLedger.load(path, peers)
+    rep = led2.verify_chain()
+    assert (rep.ok, rep.first_bad_height, rep.head_height) == (False, height, height)
+    assert led2.world_state() == led.world_state()
+
+
+def test_a_clone_keeps_a_cut_tail_reported(tmp_path):
+    path, peers, led = build_persisted(tmp_path, blocks=3)
+    data = open(path, "rb").read()
+    cut = str(tmp_path / "cut.dat")
+    open(cut, "wb").write(data[:-10])  # the last record loses its hash's end
+    led2 = SimulatedLedger.load(cut, peers)
+    clone = led2.clone_in_memory()
+    assert clone.verify_chain() == led2.verify_chain()
+    assert not clone.verify_chain().ok and clone.verify_chain().first_bad_height == 3
+    assert clone.world_state() == led2.world_state()
+    # the clone is unpersisted and independent of the ledger it came from
+    put(clone, rid="e" * 64)
+    assert led2.get_current("e" * 64) is None and open(cut, "rb").read() == data[:-10]
 
 
 def test_peer_sidecar_round_trip(tmp_path):
