@@ -31,10 +31,10 @@ import sys
 from dataclasses import dataclass
 
 from .bench import parse_queries_file, run_bench
-from .errors import TamperDetected, VerityError
+from .errors import TamperDetected, ValueTypeError, VerityError
 from .ledger import SimulatedLedger, generate_peers, load_peers, save_peers
-from .storage import Database, Tuple, csv_row, csv_value, iter_csv
-from .values import Value, ValueType, parse_typed, render_value
+from .storage import Database, TableDef, Tuple, csv_value, iter_csv
+from .values import Value, ValueType, render_value
 from .verifier import MutationSummary, Verifier
 
 EXIT_OK = 0
@@ -148,18 +148,13 @@ def open_session(cfg: SessionConfig) -> Session:
 
 # --- output helpers ----------------------------------------------------------
 
-def format_table(headers: list[str], rows: list[tuple]) -> str:
-    cells = [[render_value(v) for v in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
+def format_table(headers: list[str], rows: list) -> str:
+    """``rows`` of rendered cells under ``headers``, each column padded to
+    its widest cell."""
+    widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(headers)]
     def fmt(row):
-        return " | ".join(c.ljust(widths[i]) for i, c in enumerate(row))
-    sep = "-+-".join("-" * w for w in widths)
-    lines = [fmt(headers), sep]
-    lines.extend(fmt(r) for r in cells)
-    return "\n".join(lines)
+        return " | ".join(c.ljust(w) for c, w in zip(row, widths))
+    return "\n".join([fmt(headers), "-+-".join("-" * w for w in widths), *map(fmt, rows)])
 
 
 def _json_value(v: Value):
@@ -175,7 +170,7 @@ def print_rows(rows, names, output: str):
         for row in rows:
             print(json.dumps({n: _json_value(v) for n, v in zip(names, row)}))
     else:
-        print(format_table(names, rows))
+        print(format_table(names, [[render_value(v) for v in row] for row in rows]))
         print(f"({len(rows)} row{'s' if len(rows) != 1 else ''})")
 
 
@@ -343,14 +338,15 @@ def _verify_chain(session: Session) -> int:
     return EXIT_TAMPER
 
 
-def _history(session: Session, rid: str):
+def _history(session: Session, rid: str) -> int:
     try:
         entries = session.ledger.history(rid)
     except VerityError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return
+        return EXIT_ERROR
     for i, e in enumerate(entries, 1):
         print(f"v{i} block={e.height} owner={e.owner} fingerprint={e.fingerprint}")
+    return EXIT_OK
 
 
 def _audit(session: Session, sub: str) -> int:
@@ -383,6 +379,21 @@ def cmd_audit(args) -> int:
     return _audit(session, args.kind)
 
 
+def _csv_record(text: str, td: TableDef, columns, null_literal: str) -> tuple | None:
+    """``text`` read as one CSV record of one field per column of ``td`` in
+    ``columns``, each field read by ``csv_value`` as the CSV loader reads it;
+    empty text is one empty field. None when ``text`` holds another number
+    of records or fields."""
+    records = list(iter_csv(io.StringIO(text))) or [[("", False)]]
+    if len(records) != 1 or len(records[0]) != len(columns):
+        return None
+    try:
+        return tuple(csv_value(f, td.columns[td.col_index(c)].type, null_literal)
+                     for f, c in zip(records[0], columns))
+    except ValueTypeError as exc:
+        raise ValueTypeError(f"{td.name} line 1: {exc}") from None
+
+
 def cmd_tamper(args) -> int:
     cfg = resolve_config(args.config)
     session = open_session(cfg)
@@ -390,40 +401,33 @@ def cmd_tamper(args) -> int:
     td = db.catalog.get(args.table)
 
     if args.insert is not None:
-        fields = next(iter_csv(io.StringIO(args.insert)))
-        if len(fields) != len(td.columns):
+        row = _csv_record(args.insert, td, td.column_names(), cfg.csv_null)
+        if row is None:
             print(f"error: {td.name} needs {len(td.columns)} values", file=sys.stderr)
             return EXIT_ERROR
-        db.apply_row_insert(Tuple(td.name, csv_row(td, fields, cfg.csv_null, 1)))
+        db.apply_row_insert(Tuple(td.name, row))
         action = "inserted dummy row"
     else:
         if args.pk is None:
             print("error: --pk required", file=sys.stderr)
             return EXIT_ERROR
-        pk_parts = next(iter_csv(io.StringIO(args.pk)))
-        if len(pk_parts) != len(td.primary_key):
+        pk = _csv_record(args.pk, td, td.primary_key, cfg.csv_null)
+        if pk is None:
             print(f"error: {td.name} key has {len(td.primary_key)} column(s)",
                   file=sys.stderr)
             return EXIT_ERROR
-        pk = tuple(
-            parse_typed(raw, td.columns[td.col_index(c)].type)
-            for (raw, _), c in zip(pk_parts, td.primary_key)
-        )
         if args.delete:
             db.apply_row_delete(td.name, pk)
             action = "deleted row"
         elif args.set:
             col, _, val = args.set.partition("=")
             col = col.strip()
-            idx = td.col_index(col)
-            # the value is one CSV field, read as the CSV loader reads it
-            fields = [f for line in iter_csv(io.StringIO(val)) for f in line] or [("", False)]
-            if len(fields) != 1:
+            value = _csv_record(val, td, [col], cfg.csv_null)
+            if value is None:
                 print("error: --set takes one CSV field; quote a value with a comma",
                       file=sys.stderr)
                 return EXIT_ERROR
-            db.raw_mutate(td.name, pk, col,
-                          csv_value(fields[0], td.columns[idx].type, cfg.csv_null))
+            db.raw_mutate(td.name, pk, col, value[0])
             action = f"mutated column {col}"
         else:
             print("error: one of --set/--delete/--insert required", file=sys.stderr)
@@ -455,11 +459,7 @@ def cmd_bench(args) -> int:
             f"{r.per_tuple:.6f}" if r.per_tuple is not None else "-",
             f"{r.lookup_per_tuple:.6f}" if r.lookup_per_tuple is not None else "-",
         ))
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    print(" | ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    print("-+-".join("-" * w for w in widths))
-    for row in rows:
-        print(" | ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
+    print(format_table(headers, rows))
     if fit:
         print(f"fit: time = {fit.slope:.6f} s/tuple * n + {fit.intercept:.6f} s "
               f"(R^2 = {fit.r2:.4f} over {fit.n_points} queries)")
@@ -484,8 +484,7 @@ def cmd_ledger(args) -> int:
         if not args.row_id:
             print("error: row id required", file=sys.stderr)
             return EXIT_ERROR
-        _history(session, args.row_id)
-        return EXIT_OK
+        return _history(session, args.row_id)
     return EXIT_ERROR
 
 
@@ -511,10 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tamper", help="raw out-of-band mutation (attack simulation)")
     p.add_argument("table")
-    p.add_argument("--pk", help="primary key value(s), comma-separated")
-    p.add_argument("--set", help="column=value")
+    p.add_argument("--pk", help="primary key value(s), one CSV record")
+    p.add_argument("--set", help="column=value, the value one CSV field")
     p.add_argument("--delete", action="store_true")
-    p.add_argument("--insert", help="full row, comma-separated in schema order")
+    p.add_argument("--insert", help="full row, one CSV record in schema order")
     p.set_defaults(func=cmd_tamper)
 
     p = sub.add_parser("audit", help="illegitimate-delete audits")

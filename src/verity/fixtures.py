@@ -20,6 +20,7 @@ import os
 import random
 from decimal import Decimal
 
+from .parser import parse_ddl
 from .storage import write_csv_row
 
 TPCH_DDL = """\
@@ -48,6 +49,9 @@ create table lineitem (l_orderkey integer, l_partkey integer, l_suppkey integer,
     l_shipdate date, l_commitdate date, l_receiptdate date, l_shipinstruct text,
     l_shipmode text, l_comment text, primary key (l_orderkey, l_linenumber));
 """
+
+# each table's CSV header: its columns, in the order TPCH_DDL declares them
+_HEADERS = {d.name: d.column_names() for d in parse_ddl(TPCH_DDL)}
 
 SF_PRESETS = {
     "0.001": {"customer": 150, "lineitem": 6005, "nation": 25, "orders": 1500,
@@ -112,10 +116,10 @@ class FixtureWriter:
     def _date(self, lo_day=0, hi_day=2400) -> str:
         return (_EPOCH + datetime.timedelta(days=self.rng.randint(lo_day, hi_day))).isoformat()
 
-    def _write(self, table: str, header: list[str], rows):
+    def _write(self, table: str, rows):
         path = os.path.join(self.dest, f"{table}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            write_csv_row(f, header)
+            write_csv_row(f, _HEADERS[table])
             n = 0
             for row in rows:
                 write_csv_row(f, [None if v is None else str(v) for v in row])
@@ -130,12 +134,12 @@ class FixtureWriter:
         c = self.counts
         written = {}
         written["region"] = self._write(
-            "region", ["r_regionkey", "r_name", "r_comment"],
+            "region",
             ([k, REGIONS[k % len(REGIONS)] if k < len(REGIONS) else f"region {k}",
               self._comment()] for k in range(c["region"])),
         )
         written["nation"] = self._write(
-            "nation", ["n_nationkey", "n_name", "n_regionkey", "n_comment"],
+            "nation",
             ([k,
               NATIONS[k][0] if k < len(NATIONS) else f"nation {k}",
               NATIONS[k][1] if k < len(NATIONS) else k % c["region"],
@@ -144,8 +148,6 @@ class FixtureWriter:
         n_nations = c["nation"]
         written["customer"] = self._write(
             "customer",
-            ["c_custkey", "c_name", "c_address", "c_nationkey", "c_phone",
-             "c_acctbal", "c_mktsegment", "c_comment"],
             ([k, f"customer#{k:09d}", self._comment(1, 3),
               self.rng.randrange(n_nations),
               "".join(str(self.rng.randint(0, 9)) for _ in range(10)),
@@ -154,8 +156,6 @@ class FixtureWriter:
         )
         written["supplier"] = self._write(
             "supplier",
-            ["s_suppkey", "s_name", "s_address", "s_nationkey", "s_phone",
-             "s_acctbal", "s_comment"],
             ([k, f"supplier#{k:09d}", self._comment(1, 3),
               self.rng.randrange(n_nations),
               "".join(str(self.rng.randint(0, 9)) for _ in range(10)),
@@ -164,8 +164,6 @@ class FixtureWriter:
         )
         written["part"] = self._write(
             "part",
-            ["p_partkey", "p_name", "p_mfgr", "p_brand", "p_type", "p_size",
-             "p_container", "p_retailprice", "p_comment"],
             ([k, self._comment(2, 4), f"manufacturer#{self.rng.randint(1, 5)}",
               f"brand#{self.rng.randint(11, 55)}",
               f"{self.rng.choice(TYPE_SIZES)} {self.rng.choice(TYPE_COATS)} "
@@ -178,7 +176,6 @@ class FixtureWriter:
         ps_pairs = self._partsupp_pairs(c["part"], c["supplier"], c["partsupp"])
         written["partsupp"] = self._write(
             "partsupp",
-            ["ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost", "ps_comment"],
             ([pk, sk, self.rng.randint(1, 9999), self._money(100, 100000),
               self._comment(1, 4)] for pk, sk in ps_pairs),
         )
@@ -192,13 +189,7 @@ class FixtureWriter:
                        self.rng.choice(["f", "o", "p"]), self._money(100000, 40000000),
                        d, self.rng.choice(PRIORITIES),
                        f"clerk#{self.rng.randint(1, 1000):09d}", 0, self._comment()]
-        written["orders"] = self._write(
-            "orders",
-            ["o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice",
-             "o_orderdate", "o_orderpriority", "o_clerk", "o_shippriority",
-             "o_comment"],
-            orders_rows(),
-        )
+        written["orders"] = self._write("orders", orders_rows())
 
         lines_per_order = self._distribute_lines(c["orders"], c["lineitem"])
         def lineitem_rows():
@@ -219,14 +210,7 @@ class FixtureWriter:
                            ship.isoformat(), commit.isoformat(), receipt.isoformat(),
                            self.rng.choice(INSTRUCTIONS), self.rng.choice(SHIPMODES),
                            self._comment(1, 4)]
-        written["lineitem"] = self._write(
-            "lineitem",
-            ["l_orderkey", "l_partkey", "l_suppkey", "l_linenumber", "l_quantity",
-             "l_extendedprice", "l_discount", "l_tax", "l_returnflag",
-             "l_linestatus", "l_shipdate", "l_commitdate", "l_receiptdate",
-             "l_shipinstruct", "l_shipmode", "l_comment"],
-            lineitem_rows(),
-        )
+        written["lineitem"] = self._write("lineitem", lineitem_rows())
         return written
 
     def _partsupp_pairs(self, n_parts: int, n_supps: int, total: int):

@@ -1,8 +1,12 @@
-"""Recursive-descent parser for the supported SQL subset.
+"""Recursive-descent parser for the supported SQL subset, and for the
+CREATE TABLE statements of a schema: the one SQL parser of the package.
 
 Inner SELECTs are reduced to complete AST nodes before their enclosing
 statement finishes parsing, so every nested query is available bottom-up.
-One statement per call; a trailing ``;`` is allowed.
+``parse`` and ``parse_table_def`` take one statement; a trailing ``;`` is
+allowed. ``parse_ddl`` takes a schema: CREATE TABLE statements separated by
+``;`` tokens, where empty statements are skipped. Names in DDL may be any
+identifier, keywords included (``create table t (order text)``).
 
 Features the engine deliberately does not handle (IN, ANY, EXISTS,
 GROUP BY, HAVING, joins spelled with JOIN keywords, DISTINCT, UNION,
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from .errors import SqlSyntaxError, UnsupportedFeature
+from .errors import BadType, DuplicateColumn, SqlSyntaxError, UnknownColumn, UnsupportedFeature
 from .lexer import EOF, IDENT, NUMBER, OP, STRING, Token, tokenize
 from .sqlast import (
     AGGREGATE_FUNCS,
@@ -23,6 +27,7 @@ from .sqlast import (
     Assignment,
     BaseTable,
     BinaryOp,
+    ColumnDef,
     ColumnRef,
     Comparison,
     DeleteQuery,
@@ -39,11 +44,12 @@ from .sqlast import (
     SelectQuery,
     SelectSource,
     Star,
+    TableDef,
     UnaryMinus,
     UpdateQuery,
     ValuesSource,
 )
-from .values import Value
+from .values import Value, ValueType
 
 # Unsupported keywords rejected before parsing; these are reserved words.
 _UNSUPPORTED = {
@@ -66,14 +72,45 @@ def parse(sql_text: str) -> Query:
             raise UnsupportedFeature(t.value, t.pos)
     p = _Parser(tokens)
     q = p.parse_statement()
-    p.accept_op(";")
-    if not p.at_end():
-        raise SqlSyntaxError(
-            "multiple statements are not supported; one statement per call",
-            p.peek().pos,
-            expected={"<end of input>"},
-        )
+    p.finish()
     return q
+
+
+def parse_table_def(ddl_text: str) -> TableDef:
+    """Parse one CREATE TABLE statement."""
+    p = _Parser(tokenize(ddl_text))
+    parts = p.parse_create_table()
+    p.finish()
+    return _table_def(*parts)
+
+
+def parse_ddl(ddl_text: str) -> list[TableDef]:
+    """Parse a schema: the CREATE TABLE statements of ``ddl_text``."""
+    p = _Parser(tokenize(ddl_text))
+    defs = []
+    while not p.at_end():
+        if p.accept_op(";"):
+            continue
+        parts = p.parse_create_table()
+        if not p.at_end():
+            p.expect_op(";")
+        defs.append(_table_def(*parts))
+    return defs
+
+
+def _table_def(name: str, columns: list[ColumnDef], pk: tuple[str, ...]) -> TableDef:
+    """The table a parsed CREATE TABLE declares. One declared without
+    PRIMARY KEY gets all its columns, in schema order, as a composite key."""
+    if not columns:
+        raise BadType(f"table {name!r} has no columns")
+    pk = pk or tuple(c.name for c in columns)
+    names = {c.name for c in columns}
+    for c in pk:
+        if c not in names:
+            raise UnknownColumn(f"PRIMARY KEY names unknown column {c!r}")
+    if len(set(pk)) != len(pk):
+        raise DuplicateColumn("duplicate column in PRIMARY KEY")
+    return TableDef(name, tuple(columns), pk)
 
 
 class _Parser:
@@ -125,12 +162,29 @@ class _Parser:
             self.fail(f"expected '{op}'", {op})
         return self.advance()
 
-    def expect_name(self, what: str = "identifier") -> str:
+    def expect_name(self, what: str = "identifier", reserved=_KEYWORDS) -> str:
         t = self.peek()
-        if t.type != IDENT or t.value in _KEYWORDS:
+        if t.type != IDENT or t.value in reserved:
             self.fail(f"expected {what}", {"<identifier>"})
         self.advance()
         return t.value
+
+    def comma_list(self, item) -> list:
+        """``item ("," item)*``: what each call of ``item`` parsed, in order."""
+        items = [item()]
+        while self.accept_op(","):
+            items.append(item())
+        return items
+
+    def finish(self):
+        """End a one-statement call: an optional ``;``, then end of input."""
+        self.accept_op(";")
+        if not self.at_end():
+            raise SqlSyntaxError(
+                "multiple statements are not supported; one statement per call",
+                self.peek().pos,
+                expected={"<end of input>"},
+            )
 
     def fail(self, message: str, expected=()):
         t = self.peek()
@@ -152,13 +206,9 @@ class _Parser:
 
     def parse_select(self) -> SelectQuery:
         self.expect_kw("select")
-        projections = [self.parse_projection_item()]
-        while self.accept_op(","):
-            projections.append(self.parse_projection_item())
+        projections = self.comma_list(self.parse_projection_item)
         self.expect_kw("from")
-        from_items = [self.parse_from_item()]
-        while self.accept_op(","):
-            from_items.append(self.parse_from_item())
+        from_items = self.comma_list(self.parse_from_item)
         where = None
         if self.accept_kw("where"):
             where = self.parse_predicate()
@@ -234,15 +284,11 @@ class _Parser:
         self.expect_kw("into")
         table = self.expect_name("table name")
         self.expect_op("(")
-        columns = [self.expect_name("column name")]
-        while self.accept_op(","):
-            columns.append(self.expect_name("column name"))
+        columns = self.comma_list(lambda: self.expect_name("column name"))
         self.expect_op(")")
         if self.at_kw("values"):
             self.advance()
-            rows = [self._parse_values_row()]
-            while self.accept_op(","):
-                rows.append(self._parse_values_row())
+            rows = self.comma_list(self._parse_values_row)
             return InsertQuery(table, tuple(columns), ValuesSource(tuple(rows)))
         if self.at_kw("select"):
             return InsertQuery(table, tuple(columns), SelectSource(self.parse_select()))
@@ -250,9 +296,7 @@ class _Parser:
 
     def _parse_values_row(self) -> tuple[Expr, ...]:
         self.expect_op("(")
-        exprs = [self.parse_expr()]
-        while self.accept_op(","):
-            exprs.append(self.parse_expr())
+        exprs = self.comma_list(self.parse_expr)
         self.expect_op(")")
         return tuple(exprs)
 
@@ -260,9 +304,7 @@ class _Parser:
         self.expect_kw("update")
         table = self.expect_name("table name")
         self.expect_kw("set")
-        assignments = [self._parse_assignment(table)]
-        while self.accept_op(","):
-            assignments.append(self._parse_assignment(table))
+        assignments = self.comma_list(lambda: self._parse_assignment(table))
         where = None
         if self.accept_kw("where"):
             where = self.parse_predicate()
@@ -291,6 +333,34 @@ class _Parser:
         if self.accept_kw("where"):
             where = self.parse_predicate()
         return DeleteQuery(table, where)
+
+    def parse_create_table(self) -> tuple[str, list[ColumnDef], tuple[str, ...]]:
+        """``CREATE TABLE name (element, ...)``, each element a column
+        ``name type`` or ``PRIMARY KEY (name, ...)``: the table's name, its
+        columns and the key it declares (the last one; () for none)."""
+        self.expect_kw("create")
+        self.expect_kw("table")
+        name = self.expect_name("table name", reserved=())
+        columns: list[ColumnDef] = []
+        pk: list[str] = []
+
+        def element():
+            if self.accept_kw("primary"):
+                self.expect_kw("key")
+                self.expect_op("(")
+                pk[:] = self.comma_list(lambda: self.expect_name("column name", reserved=()))
+                self.expect_op(")")
+                return
+            col = self.expect_name("column name", reserved=())
+            col_type = ValueType.from_ddl(self.expect_name("column type", reserved=()))
+            if any(c.name == col for c in columns):
+                raise DuplicateColumn(f"duplicate column {col!r} in {name}")
+            columns.append(ColumnDef(col, col_type))
+
+        self.expect_op("(")
+        self.comma_list(element)
+        self.expect_op(")")
+        return name, columns, tuple(pk)
 
     # --- predicates ---
 

@@ -2,14 +2,17 @@
 
 The node set mirrors the grammar: SELECT with comma joins and derived
 tables, UPDATE with scalar subqueries in SET, INSERT from VALUES or from a
-SELECT, and DELETE. WHERE trees never contain subqueries.
+SELECT, and DELETE; CREATE TABLE yields a ``TableDef``. WHERE trees never
+contain subqueries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
+from .errors import UnknownColumn
 from .values import Value, ValueType, decimal_str
 
 AGGREGATE_FUNCS = ("sum", "count", "avg", "max", "min")
@@ -208,6 +211,36 @@ def classify(q: Query) -> QueryKind:
     if isinstance(q, DeleteQuery):
         return QueryKind.DELETE
     raise TypeError(f"not a query: {q!r}")
+
+
+# --- schema ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ColumnDef:
+    name: str
+    type: ValueType
+
+
+@dataclass(frozen=True)
+class TableDef:
+    name: str
+    columns: tuple[ColumnDef, ...]
+    primary_key: tuple[str, ...]
+
+    def column_names(self) -> list[str]:
+        return [c.name for c in self.columns]
+
+    def col_index(self, name: str) -> int:
+        for i, c in enumerate(self.columns):
+            if c.name == name:
+                return i
+        raise UnknownColumn(f"{self.name} has no column {name!r}")
+
+    @cached_property
+    def pk_indices(self) -> tuple[int, ...]:
+        # computed once: every stored row's key is read through it; the
+        # frozen dataclass refuses assignment, so callers cannot set it
+        return tuple(self.col_index(c) for c in self.primary_key)
 
 
 # --- tree walking ----------------------------------------------------------

@@ -1,6 +1,10 @@
 """Embedded relational engine: catalog, typed in-memory tables, execution of
 the supported SQL subset, and CSV ingestion.
 
+Storage reads no SQL text itself: ``create_table`` and ``load_ddl`` define
+the tables that ``parser.parse_table_def`` and ``parser.parse_ddl`` read
+from CREATE TABLE statements, and queries arrive as parsed ASTs.
+
 A SELECT runs in three steps. Derived tables are materialized first. A
 binder pass then resolves every column name once, to a position in the
 joined row, through ``Scope``: the one resolver of column names in queries,
@@ -51,59 +55,28 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, DivisionByZero, InvalidOperation
-from functools import cached_property
 
 from . import sqlast as ast
 from .errors import (
     AmbiguousColumn,
     ArityError,
-    BadType,
-    DuplicateColumn,
     DuplicatePrimaryKey,
     DuplicateTable,
     EvalError,
     NoSuchRow,
     NullPrimaryKey,
-    SqlSyntaxError,
     UnknownColumn,
     UnknownTable,
     ValueTypeError,
 )
-from .lexer import EOF, IDENT, OP, Token, tokenize
+from .parser import parse_ddl, parse_table_def
+from .sqlast import TableDef
 from .values import NULL, Value, ValueType, coerce, parse_typed, quantize_decimal, render_value
 
 Row = tuple  # tuple[Value, ...]
 
 
-# --- schema ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ColumnDef:
-    name: str
-    type: ValueType
-
-
-@dataclass(frozen=True)
-class TableDef:
-    name: str
-    columns: tuple[ColumnDef, ...]
-    primary_key: tuple[str, ...]
-
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
-
-    def col_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise UnknownColumn(f"{self.name} has no column {name!r}")
-
-    @cached_property
-    def pk_indices(self) -> tuple[int, ...]:
-        # computed once: every stored row's key is read through it; the
-        # frozen dataclass refuses assignment, so callers cannot set it
-        return tuple(self.col_index(c) for c in self.primary_key)
-
+# --- catalog -----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Tuple:
@@ -129,72 +102,6 @@ class Catalog:
 
     def names(self) -> list[str]:
         return list(self.tables)
-
-
-def parse_create_table(ddl_text: str) -> TableDef:
-    """Parse one ``CREATE TABLE name (col type, ..., PRIMARY KEY (...))``.
-
-    Tables declared without PRIMARY KEY get all columns, in schema order,
-    as a composite key.
-    """
-    toks = tokenize(ddl_text)
-    pos = 0
-
-    def peek() -> Token:
-        return toks[min(pos, len(toks) - 1)]
-
-    def take(expect_type=None, expect_value=None) -> Token:
-        nonlocal pos
-        t = peek()
-        if expect_type and t.type != expect_type:
-            raise SqlSyntaxError(f"expected {expect_type}, found {t.value!r}", t.pos)
-        if expect_value and t.value != expect_value:
-            raise SqlSyntaxError(f"expected {expect_value!r}, found {t.value!r}", t.pos)
-        pos += 1
-        return t
-
-    take(IDENT, "create")
-    take(IDENT, "table")
-    name = take(IDENT).value
-    take(OP, "(")
-    columns: list[ColumnDef] = []
-    pk: tuple[str, ...] = ()
-    while True:
-        t = take(IDENT)
-        if t.value == "primary":
-            take(IDENT, "key")
-            take(OP, "(")
-            pk_cols = [take(IDENT).value]
-            while peek().value == ",":
-                take(OP, ",")
-                pk_cols.append(take(IDENT).value)
-            take(OP, ")")
-            pk = tuple(pk_cols)
-        else:
-            col_type = ValueType.from_ddl(take(IDENT).value)
-            if any(c.name == t.value for c in columns):
-                raise DuplicateColumn(f"duplicate column {t.value!r} in {name}")
-            columns.append(ColumnDef(t.value, col_type))
-        if peek().value == ",":
-            take(OP, ",")
-            continue
-        break
-    take(OP, ")")
-    if peek().value == ";":
-        take(OP, ";")
-    if peek().type != EOF:
-        raise SqlSyntaxError("trailing input after CREATE TABLE", peek().pos)
-    if not columns:
-        raise BadType(f"table {name!r} has no columns")
-    if not pk:
-        pk = tuple(c.name for c in columns)
-    names = {c.name for c in columns}
-    for c in pk:
-        if c not in names:
-            raise UnknownColumn(f"PRIMARY KEY names unknown column {c!r}")
-    if len(set(pk)) != len(pk):
-        raise DuplicateColumn("duplicate column in PRIMARY KEY")
-    return TableDef(name, tuple(columns), pk)
 
 
 # --- table storage -----------------------------------------------------------
@@ -713,17 +620,18 @@ class Database:
     # schema & loading
 
     def create_table(self, ddl_text: str) -> TableDef:
-        d = parse_create_table(ddl_text)
+        """Define the table of one CREATE TABLE statement."""
+        return self._define(parse_table_def(ddl_text))
+
+    def load_ddl(self, ddl_text: str) -> list[TableDef]:
+        """Define the tables of a schema: CREATE TABLE statements separated
+        by ``;``. A schema that does not parse defines none of them."""
+        return [self._define(d) for d in parse_ddl(ddl_text)]
+
+    def _define(self, d: TableDef) -> TableDef:
         self.catalog.define(d)
         self._tables[d.name] = _Table(d)
         return d
-
-    def load_ddl(self, ddl_text: str) -> list[TableDef]:
-        defs = []
-        for stmt in ddl_text.split(";"):
-            if stmt.strip():
-                defs.append(self.create_table(stmt))
-        return defs
 
     def register_csv(self, table: str, path: str, null_literal: str = ""):
         """Have ``table`` loaded from the CSV file at ``path`` when something

@@ -193,6 +193,27 @@ def test_ledger_verify_and_history(workdir, capsys):
     assert "v1" in out and "v2" in out and "owner=peer-1" in out
 
 
+def test_ledger_history_of_an_unknown_row_exits_1(workdir, capsys):
+    _, conf = workdir
+    run(conf, "init")
+    capsys.readouterr()
+    assert run(conf, "ledger", "history", "no-such-row") == EXIT_ERROR
+    assert capsys.readouterr().err == "error: no ledger record for no-such-row\n"
+
+
+def test_repl_ledger_history_of_an_unknown_row_reports_and_goes_on(workdir, capsys,
+                                                                    monkeypatch):
+    _, conf = workdir
+    run(conf, "init")
+    inputs = iter([".ledger history no-such-row", ".tables", ".quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(inputs))
+    capsys.readouterr()
+    assert run(conf, "repl") == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "error: no ledger record for no-such-row\n"
+    assert "region (5 rows)" in captured.out
+
+
 def test_ledger_verify_detects_file_tampering(workdir, capsys):
     tmp, conf = workdir
     run(conf, "init")
@@ -242,6 +263,11 @@ def test_bench_command(workdir, tmp_path, capsys):
     assert run(conf, "bench", str(qfile), "--runs", "2", "--out", str(out_file)) == EXIT_OK
     out = capsys.readouterr().out
     assert "q_region" in out and "fit:" in out
+    header, separator = out.split("\n")[:2]
+    assert header == ("id       | kind | tables          | checked | mutated | end-to-end (s) "
+                      "| min (s) | median (s) | per tuple (s) | lookup/tuple (s)")
+    assert separator == ("---------+------+-----------------+---------+---------+----------------"
+                         "+---------+------------+---------------+-----------------")
     lines = [json.loads(l) for l in out_file.read_text().strip().split("\n")]
     assert lines[0]["tuples_checked"] == 5
     assert lines[1]["tuples_checked"] == 25
@@ -307,3 +333,38 @@ def test_tamper_set_refuses_more_than_one_field(tmp_path, capsys):
     assert "one CSV field" in capsys.readouterr().err
     assert run(conf, "tamper", "t", "--pk", "1", "--set", 's="a,b"') == EXIT_OK
     assert (tmp_path / "t.csv").read_text() == 'k,s\n1,"a,b"\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ("region", "--insert", ""),              # one empty field, region has three
+    ("region", "--pk", "", "--delete"),      # one empty field: the NULL key
+    ("region", "--pk", "", "--set", "r_name=x"),
+    ("region", "--insert", "77,a,b\n78,c,d"),  # two records
+    ("region", "--pk", "1,2", "--delete"),   # two fields for a one-column key
+])
+def test_tamper_refuses_what_is_not_one_record_of_the_table(workdir, capsys, argv):
+    tmp, conf = workdir
+    run(conf, "init")
+    before = (tmp / "fx" / "region.csv").read_bytes()
+    capsys.readouterr()
+    assert run(conf, "tamper", *argv) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (tmp / "fx" / "region.csv").read_bytes() == before
+
+
+def test_tamper_pk_reads_the_null_literal_as_the_csv_loader_does(tmp_path, capsys):
+    # with csv_null = NULL, the text key NULL is spelled quoted, as in t.csv
+    (tmp_path / "schema.sql").write_text(
+        "create table t (k text, s text, primary key (k));")
+    (tmp_path / "t.csv").write_text('k,s\n"NULL",a\nb,c\n')
+    conf = tmp_path / "verity.conf"
+    conf.write_text("ddl = schema.sql\ncsv_dir = .\nledger = ledger.dat\n"
+                    "peers = 1\ncsv_null = NULL\n")
+    conf = str(conf)
+    assert run(conf, "init") == EXIT_OK
+    capsys.readouterr()
+    assert run(conf, "tamper", "t", "--pk", "NULL", "--delete") == EXIT_ERROR
+    assert "error: no row with key (NULL,) in t" in capsys.readouterr().err
+    assert run(conf, "tamper", "t", "--pk", '"NULL"', "--set", "s=x") == EXIT_OK
+    assert run(conf, "tamper", "t", "--pk", "b", "--delete") == EXIT_OK
+    assert (tmp_path / "t.csv").read_text() == 'k,s\n"NULL",x\n'

@@ -1,5 +1,7 @@
 """Fixture generator: preset counts, determinism, loadability, join coherence."""
 
+import hashlib
+
 from verity.fixtures import SF_PRESETS, generate_fixture
 from verity.parser import parse
 
@@ -83,3 +85,24 @@ def test_bootstrap_records_every_fixture_tuple(fixture_session):
     assert ledger.get_row_count("region") == 5
     assert ledger.get_row_count("nation") == 25
     assert ledger.get_row_count("lineitem") == 6005
+
+
+# SHA-256 of every file of the SF 0.001, seed 42 fixture that the benchmark
+# and the session fixtures run on: any change to the generated data shows here
+SF0001_SEED42_DIGESTS = {
+    "customer.csv": "87cfd9aaeef824dc0e1b72048b03803781a8d448ee23a0c9eee411d1649a107a",
+    "lineitem.csv": "facf0aa6154db624af9906a5af47f9e26826a7efacc18ee4167eecd98da37c74",
+    "nation.csv": "deae00a377986e7c28101f31d17e0e923bf7c0621db544aec32b4e9a95e5fd13",
+    "orders.csv": "69ec67db6f54085ddb7282924d139a1735319a2250df0e426c5684e6d2a9046f",
+    "part.csv": "7712a1987b55de9dd0c9b11c03b18dbfac1bd42c34aabb68a075b5727a24a4fa",
+    "partsupp.csv": "ed139d7302f8cc3ea656830ed33600de8ea759f92cddde8a08dc6ca4963c61f6",
+    "region.csv": "ceef3d1cf8cb177038cf74d689fbd14941923547a946f5f340b3fe946ab66b8d",
+    "schema.sql": "a594feecb51915dc64c968fd97211ef3fd8d50b6d9f8c85ef78093e900e3ea2f",
+    "supplier.csv": "2c54870bec40c117b550ffe4a6748ba086e1b30188edf4d0187aec198a5a2b5b",
+}
+
+
+def test_sf0001_seed42_fixture_is_byte_identical(fixture_dir):
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in fixture_dir.iterdir()}
+    assert digests == SF0001_SEED42_DIGESTS
