@@ -14,10 +14,10 @@ from .errors import (
     UnsupportedFeature,
     VerityError,
 )
-from .fingerprint import fingerprint, row_id, serialize_value
+from .fingerprint import fingerprint, row_id
 from .ledger import SimulatedLedger, generate_peers
 from .parser import parse
-from .rewriter import change_projection, project_results, tuples_of
+from .rewriter import change_projection, project_results
 from .sqlast import QueryKind, classify, render
 from .storage import Database
 from .verifier import Verifier
@@ -38,6 +38,4 @@ __all__ = [
     "project_results",
     "render",
     "row_id",
-    "serialize_value",
-    "tuples_of",
 ]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .bench import parse_queries_file, run_bench
 from .errors import TamperDetected, ValueTypeError, VerityError
 from .ledger import SimulatedLedger, generate_peers, load_peers, save_peers
-from .storage import Database, TableDef, Tuple, csv_value, iter_csv
+from .storage import Database, TableDef, csv_value, iter_csv
 from .values import Value, ValueType, render_value
 from .verifier import MutationSummary, Verifier
 
@@ -73,9 +73,9 @@ class SessionConfig:
         missing = [k for k in ("ddl", "csv_dir", "ledger") if k not in kv]
         if missing:
             raise VerityError(f"{path}: missing config keys: {', '.join(missing)}")
-        peers = int(kv.get("peers", "5"))
-        if peers < 1:
-            raise VerityError("peers must be >= 1")
+        peers = kv.get("peers", "5")
+        if not peers.isdecimal() or int(peers) < 1:
+            raise VerityError(f"{path}: peers must be an integer >= 1, got {peers!r}")
         output = kv.get("output", "table")
         if output not in ("table", "json-lines"):
             raise VerityError("output must be 'table' or 'json-lines'")
@@ -83,7 +83,7 @@ class SessionConfig:
             ddl=_path(kv["ddl"]),
             csv_dir=_path(kv["csv_dir"]),
             ledger=_path(kv["ledger"]),
-            peers=peers,
+            peers=int(peers),
             principal=kv.get("principal", "peer-1"),
             output=output,
             csv_null=kv.get("csv_null", ""),
@@ -405,7 +405,7 @@ def cmd_tamper(args) -> int:
         if row is None:
             print(f"error: {td.name} needs {len(td.columns)} values", file=sys.stderr)
             return EXIT_ERROR
-        db.apply_row_insert(Tuple(td.name, row))
+        db.apply_row_insert(td.name, row)
         action = "inserted dummy row"
     else:
         if args.pk is None:
@@ -439,6 +439,8 @@ def cmd_tamper(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise VerityError(f"--runs must be at least 1, got {args.runs}")
     cfg = resolve_config(args.config)
     session = open_session(cfg)
     with open(args.queries, encoding="utf-8") as f:

@@ -1,13 +1,18 @@
 """Deterministic row identifiers and tuple fingerprints (SHA-256).
 
-A row's identifier hashes its primary-key values joined to its table name;
-the tuple fingerprint hashes the identifier's hex rendering joined to every
-non-NULL column value in schema order. NULL columns contribute nothing, so
-flipping any column between NULL and a value always changes the digest.
+This module is the one rule for what crosses from the database to the
+ledger: a row's identifier hashes its primary-key values joined to its table
+name; the tuple fingerprint hashes the identifier's hex rendering joined to
+every non-NULL column value in schema order. NULL columns contribute
+nothing, so flipping any column between NULL and a value always changes the
+digest. Rows are plain tuples of ``Value``s, aligned to their table's
+columns.
 
-Fields are joined with the 0x1F unit separator. Plain concatenation would
-make ("ab","c") collide with ("a","bc"); text values containing 0x1F are
-rejected at ingestion, so the serialized form stays unambiguous.
+A value's bytes are its canonical text (``values.render_value``) in UTF-8,
+the same text the CSV writer stores. Fields are joined with the 0x1F unit
+separator. Plain concatenation would make ("ab","c") collide with
+("a","bc"); text values containing 0x1F are rejected at ingestion, so the
+serialized form stays unambiguous.
 """
 
 from __future__ import annotations
@@ -15,23 +20,10 @@ from __future__ import annotations
 import hashlib
 
 from .errors import NullPrimaryKey
-from .storage import Tuple
-from .values import Value, ValueType, decimal_str
+from .sqlast import TableDef
+from .values import render_value
 
 SEPARATOR = b"\x1f"
-
-
-def serialize_value(v: Value) -> bytes:
-    """Byte encoding of one non-NULL value."""
-    if v.kind is ValueType.INTEGER:
-        return str(v.raw).encode("ascii")
-    if v.kind is ValueType.DECIMAL:
-        return decimal_str(v.raw).encode("ascii")
-    if v.kind is ValueType.TEXT:
-        return v.raw.encode("utf-8")
-    if v.kind is ValueType.DATE:
-        return v.raw.encode("ascii")
-    raise ValueError("NULL values are never serialized")
 
 
 def row_id(pk_values, table: str) -> str:
@@ -42,19 +34,19 @@ def row_id(pk_values, table: str) -> str:
     for v in pk_values:
         if v.is_null:
             raise NullPrimaryKey(f"NULL primary key component for table {table!r}")
-        parts.append(serialize_value(v))
+        parts.append(render_value(v).encode("utf-8"))
     parts.append(table.lower().encode("utf-8"))
     return hashlib.sha256(SEPARATOR.join(parts)).hexdigest()
 
 
-def fingerprint(rid: str, tup: Tuple) -> str:
+def fingerprint(rid: str, row) -> str:
     """64-char hex SHA-256 over the row id and all non-NULL column values."""
     parts = [rid.encode("ascii")]
-    parts.extend(serialize_value(v) for v in tup.values if not v.is_null)
+    parts.extend(render_value(v).encode("utf-8") for v in row if not v.is_null)
     return hashlib.sha256(SEPARATOR.join(parts)).hexdigest()
 
 
-def fingerprint_tuple(tup: Tuple, pk_indices) -> tuple[str, str]:
-    """Convenience: (row_id, fingerprint) for a full base tuple."""
-    rid = row_id([tup.values[i] for i in pk_indices], tup.table)
-    return rid, fingerprint(rid, tup)
+def fingerprint_tuple(td: TableDef, row) -> tuple[str, str]:
+    """``(row_id, fingerprint)`` of a full row of table ``td``."""
+    rid = row_id(td.key(row), td.name)
+    return rid, fingerprint(rid, row)

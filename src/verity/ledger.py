@@ -98,12 +98,18 @@ def save_peers(peers: list[Peer], path: str):
 
 
 def load_peers(path: str) -> list[Peer]:
-    with open(path, encoding="utf-8") as f:
-        blob = json.load(f)
-    return [
-        Peer(p["id"], Ed25519PrivateKey.from_private_bytes(bytes.fromhex(p["private"])))
-        for p in blob["peers"]
-    ]
+    """The peers ``save_peers`` wrote to ``path``. A file that is not that
+    JSON (a missing key, a key that is not 32 bytes of hex) raises
+    LedgerCorrupt naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            blob = json.load(f)
+        return [
+            Peer(p["id"], Ed25519PrivateKey.from_private_bytes(bytes.fromhex(p["private"])))
+            for p in blob["peers"]
+        ]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise LedgerCorrupt(f"{path}: malformed peers file ({type(exc).__name__}: {exc})") from None
 
 
 # --- transactions and blocks ----------------------------------------------
@@ -300,6 +306,14 @@ def block_hash(raw: bytes) -> bytes:
     return hashlib.sha256(raw).digest()
 
 
+def _write_frame(f, raw: bytes, h: bytes):
+    """Write one block to a ledger file as ``load`` reads it: its 4-byte
+    big-endian length, its bytes, then its 32-byte hash."""
+    f.write(len(raw).to_bytes(4, "big"))
+    f.write(raw)  # on its own: a block can be megabytes, so no copy is made
+    f.write(h)
+
+
 # --- the ledger ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -405,9 +419,7 @@ class SimulatedLedger(LedgerInterface):
         Lets callers build a ledger in memory and persist only on success."""
         with open(path, "wb") as f:
             for e in self._entries:
-                f.write(len(e.raw).to_bytes(4, "big"))
-                f.write(e.raw)
-                f.write(e.hash)
+                _write_frame(f, e.raw, e.hash)
         self.path = path
 
     # world state
@@ -536,9 +548,7 @@ class SimulatedLedger(LedgerInterface):
         self._entries.append(_Entry(raw, h, block))
         if self.path:
             with open(self.path, "ab") as f:
-                f.write(len(raw).to_bytes(4, "big"))
-                f.write(raw)
-                f.write(h)
+                _write_frame(f, raw, h)
 
     # chain verification
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import sqlast as ast
 from .errors import UnsupportedFeature
-from .storage import Catalog, Row, Scope, TableDef, Tuple, map_columns, project_rows
+from .storage import Catalog, Row, Scope, TableDef, map_columns, project_rows
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class TableExposure:
 
     ``alias_path`` walks from the outermost FROM binding down to the base
     table's own binding; wide columns [start, stop) hold the table's
-    attributes in schema order.
+    attributes in schema order, so ``wide_row[start:stop]`` is its row.
     """
 
     table: str
@@ -65,11 +65,6 @@ def change_projection(q: ast.SelectQuery, catalog: Catalog) -> RewrittenSelect:
     """Widen ``q`` bottom-up and map its original projection onto the wide result."""
     level = _widen(q, catalog, as_derived=False)
     return RewrittenSelect(level.wide, level.exposures, level.outputs)
-
-
-def tuples_of(wide_row: Row, exposure: TableExposure) -> Tuple:
-    """Base-table tuple reconstructed from one wide row."""
-    return Tuple(exposure.table, tuple(wide_row[exposure.start:exposure.stop]))
 
 
 def project_results(wide_rows: list[Row], rw: RewrittenSelect) -> list[Row]:

@@ -242,6 +242,10 @@ class TableDef:
         # frozen dataclass refuses assignment, so callers cannot set it
         return tuple(self.col_index(c) for c in self.primary_key)
 
+    def key(self, row: tuple) -> tuple:
+        """The primary-key values of a full row of this table, in key order."""
+        return tuple([row[i] for i in self.pk_indices])
+
 
 # --- tree walking ----------------------------------------------------------
 

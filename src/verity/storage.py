@@ -80,7 +80,8 @@ Row = tuple  # tuple[Value, ...]
 
 @dataclass(frozen=True)
 class Tuple:
-    """A full row of one base table, values aligned to the table's columns."""
+    """``get_row``'s result: a full row of one base table. Every other
+    caller passes rows as plain tuples of values."""
     table: str
     values: tuple
 
@@ -132,9 +133,6 @@ class _Table:
             t._order, t._keys = list(self._order), list(self._keys)
         return t
 
-    def pk_of(self, row: Row) -> tuple:
-        return tuple(row[i] for i in self.d.pk_indices)
-
     def sorted_rows(self) -> list[Row]:
         if self._order is None:
             keyed = sorted(((_pk_sort_key(pk), row) for pk, row in self.rows.items()),
@@ -177,7 +175,7 @@ class _Table:
         return rows[lo:hi], n
 
     def insert(self, row: Row):
-        pk = self.pk_of(row)
+        pk = self.d.key(row)
         if any(v.is_null for v in pk):
             raise NullPrimaryKey(f"NULL primary key in {self.d.name}")
         if pk in self.rows:
@@ -192,7 +190,7 @@ class _Table:
 
     def replace(self, pk: tuple, row: Row):
         old = self.get(pk)
-        new_pk = self.pk_of(row)
+        new_pk = self.d.key(row)
         if new_pk != pk:
             if new_pk in self.rows:
                 raise DuplicatePrimaryKey(f"duplicate primary key {new_pk} in {self.d.name}")
@@ -711,9 +709,8 @@ class Database:
         return len(self._table(table).rows)
 
     def rows_of(self, table: str):
-        t = self._table(table)
-        for row in t.sorted_rows():
-            yield Tuple(t.d.name, row)
+        """The table's rows, plain tuples of values, in key order."""
+        yield from self._table(table).sorted_rows()
 
     def get_row(self, table: str, pk: tuple) -> Tuple:
         t = self._table(table)
@@ -745,11 +742,11 @@ class Database:
 
     # verified-pipeline mutations
 
-    def apply_row_insert(self, tup: Tuple):
-        t = self._table(tup.table)
-        if len(tup.values) != len(t.d.columns):
-            raise ArityError(f"{tup.table}: expected {len(t.d.columns)} values")
-        t.insert(tuple(tup.values))
+    def apply_row_insert(self, table: str, row: tuple):
+        t = self._table(table)
+        if len(row) != len(t.d.columns):
+            raise ArityError(f"{table}: expected {len(t.d.columns)} values")
+        t.insert(tuple(row))
 
     def apply_row_update(self, table: str, pk: tuple, new_values: tuple):
         t = self._table(table)

@@ -10,7 +10,8 @@ strictly before storage is touched, so a ledger rejection leaves the database
 unchanged. A row's previous fingerprint is the one its SELECT just verified.
 
 Detection is access-triggered: a tuple tampered out-of-band fails its
-fingerprint check the first time any verified query touches it. The two
+fingerprint check the first time any verified query touches it. Every
+check, a SELECT's and the full audit's, runs through ``_verify_rows``. The two
 audits catch what access alone cannot: count mismatches from illegitimate
 deletes, and (full scan) unknown fingerprints plus ledger-active rows that
 vanished from storage.
@@ -41,9 +42,9 @@ from .errors import (
 from .fingerprint import fingerprint, fingerprint_tuple, row_id
 from .ledger import LedgerInterface, TxDraft, TxKind
 from .parser import parse
-from .rewriter import change_projection, project_results, tuples_of
+from .rewriter import change_projection, project_results
 from .sqlast import QueryKind, classify
-from .storage import Database, Scope, TableDef, Tuple, eval_expr
+from .storage import Database, Scope, TableDef, eval_expr
 from .values import NULL, coerce
 
 PHASES = ("parse", "rewrite", "db_exec", "ledger_lookup", "ledger_commit")
@@ -151,8 +152,8 @@ class Verifier:
         for table in self.db.catalog.names():
             td = self.db.catalog.get(table)
             drafts = []
-            for tup in self.db.rows_of(table):
-                rid, fp = fingerprint_tuple(tup, td.pk_indices)
+            for row in self.db.rows_of(table):
+                rid, fp = fingerprint_tuple(td, row)
                 drafts.append(TxDraft(TxKind.PUT, table, self.principal,
                                       row_id=rid, fingerprint=fp))
             counts[table] = n = len(drafts)
@@ -190,17 +191,7 @@ class Verifier:
         with _Timer(ctx, "ledger_lookup"):
             for exposure in rw.column_map:
                 ctx.touch_table(exposure.table)
-                pk_idx = exposure.tabledef.pk_indices
-                for row in wide_rows:
-                    ctx.seen += 1
-                    rid = row_id([row[exposure.start + i] for i in pk_idx], exposure.table)
-                    if rid in ctx.checked:
-                        continue
-                    fp = ctx.checked[rid] = fingerprint(rid, tuples_of(row, exposure))
-                    expected = self._check(rid, fp)
-                    if expected is not None:
-                        ctx.alerts.append(TamperAlert(rid, exposure.table, expected, fp,
-                                                      ctx.query_hash, self.clock()))
+                self._verify_rows(ctx, exposure.tabledef, wide_rows, exposure.start)
         if ctx.alerts:
             self._log_alerts(ctx.alerts)
             raise TamperDetected(ctx.alerts, self._report(ctx.kind, ctx, outcome="tampered"))
@@ -247,7 +238,7 @@ class Verifier:
                 new[idx] = v if v.is_null else coerce(v, typ)
             new = tuple(new)
             drafts.append(TxDraft(TxKind.UPDATE, td.name, principal, row_id=rid,
-                                  fingerprint=fingerprint(rid, Tuple(td.name, new)),
+                                  fingerprint=fingerprint(rid, new),
                                   prev_fingerprint=ctx.checked[rid]))
             ops.append((td.name, pk, new))
         return self._commit_and_apply(ctx, QueryKind.UPDATE, td.name, principal, drafts,
@@ -290,7 +281,7 @@ class Verifier:
         batch_pks = set()
         drafts, ops = [], []
         for values in new_rows:
-            pk = tuple(values[i] for i in td.pk_indices)
+            pk = td.key(values)
             if any(v.is_null for v in pk):
                 raise NullPrimaryKey(f"NULL primary key in insert into {td.name}")
             if pk in batch_pks:
@@ -298,11 +289,10 @@ class Verifier:
             batch_pks.add(pk)
             if self.db.has_row(td.name, pk):
                 raise DuplicatePrimaryKey(f"key {pk} already present in {td.name}")
-            tup = Tuple(td.name, values)
             rid = row_id(pk, td.name)
             drafts.append(TxDraft(TxKind.PUT, td.name, principal, row_id=rid,
-                                  fingerprint=fingerprint(rid, tup)))
-            ops.append((tup,))
+                                  fingerprint=fingerprint(rid, values)))
+            ops.append((td.name, values))
         return self._commit_and_apply(ctx, QueryKind.INSERT, td.name, principal, drafts,
                                       self.db.apply_row_insert, ops)
 
@@ -322,7 +312,7 @@ class Verifier:
         q = ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
                             (ast.BaseTable(td.name, None),), where)
         rows, _ = self._select(q, ctx)
-        pks = [tuple(row[i] for i in td.pk_indices) for row in rows]
+        pks = [td.key(row) for row in rows]
         return [(row_id(pk, td.name), pk, row) for pk, row in zip(pks, rows)]
 
     def _commit_and_apply(self, ctx: _Ctx, kind: QueryKind, table: str, principal: str,
@@ -360,40 +350,45 @@ class Verifier:
     def audit_full(self) -> tuple[list[TamperAlert], list[MissingRow]]:
         """Fingerprint-check every stored tuple, then check every
         ledger-active row id for presence in storage."""
-        now = self.clock()
-        qh = hashlib.sha256(b"audit:full").hexdigest()
-        alerts: list[TamperAlert] = []
+        ctx = _Ctx("audit:full")
         missing: list[MissingRow] = []
         for table in self.db.catalog.names():
-            td = self.db.catalog.get(table)
-            seen: set[str] = set()
-            for tup in self.db.rows_of(table):
-                rid, fp = fingerprint_tuple(tup, td.pk_indices)
-                seen.add(rid)
-                expected = self._check(rid, fp)
-                if expected is not None:
-                    alerts.append(TamperAlert(rid, table, expected, fp, qh, now))
-            for rec in self.ledger.scan_active(table):
-                if rec.row_id not in seen:
-                    missing.append(MissingRow(rec.row_id, table))
-        if alerts:
-            self._log_alerts(alerts)
-        return alerts, missing
+            self._verify_rows(ctx, self.db.catalog.get(table), list(self.db.rows_of(table)))
+            missing += [MissingRow(rec.row_id, table) for rec in self.ledger.scan_active(table)
+                        if rec.row_id not in ctx.checked]
+        if ctx.alerts:
+            self._log_alerts(ctx.alerts)
+        return ctx.alerts, missing
 
     # --- helpers ----------------------------------------------------------------
 
-    def _check(self, rid: str, fp: str) -> str | None:
-        """None when the ledger holds ``fp`` as row ``rid``'s active
-        fingerprint; otherwise what the ledger expected, for the alert:
-        "ABSENT", "DELETED" or its fingerprint."""
-        rec = self.ledger.get_current(rid)
-        if rec is None:
-            return "ABSENT"
-        if rec.status != "active":
-            return "DELETED"
-        if rec.fingerprint != fp:
-            return rec.fingerprint
-        return None
+    def _verify_rows(self, ctx: _Ctx, td: TableDef, rows: list, start: int = 0):
+        """The one tuple check. Each of ``rows`` holds a row of table ``td``
+        at ``[start, start + width)``; each distinct row id among them is
+        fingerprinted once per statement (``ctx.checked`` keeps its
+        fingerprint) and looked up in the ledger. A fingerprint the ledger
+        does not hold as that row's active one adds an alert naming what the
+        ledger expected: "ABSENT", "DELETED" or its fingerprint."""
+        stop = start + len(td.columns)
+        checked = ctx.checked
+        ctx.seen += len(rows)
+        for wide in rows:
+            row = wide[start:stop]
+            rid = row_id(td.key(row), td.name)
+            if rid in checked:
+                continue
+            fp = checked[rid] = fingerprint(rid, row)
+            rec = self.ledger.get_current(rid)
+            if rec is None:
+                expected = "ABSENT"
+            elif rec.status != "active":
+                expected = "DELETED"
+            elif rec.fingerprint != fp:
+                expected = rec.fingerprint
+            else:
+                continue
+            ctx.alerts.append(TamperAlert(rid, td.name, expected, fp,
+                                          ctx.query_hash, self.clock()))
 
     def _report(self, kind, ctx: _Ctx, outcome: str = "verified",
                 columns: list[str] | None = None) -> VerificationReport:

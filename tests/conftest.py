@@ -144,7 +144,7 @@ def brute_force_full(db, q):
     for item in q.from_items:
         if isinstance(item, ast.BaseTable):
             td = db.catalog.get(item.name)
-            rows = [tuple(r.values) for r in db.rows_of(item.name)]
+            rows = list(db.rows_of(item.name))
             sources.append((item.binding, td.column_names(), rows))
         else:
             sub_rows, sub_names = brute_force_full(db, item.subquery)
@@ -355,8 +355,7 @@ class RandomDbGen:
                         values.append(Value.decimal(Decimal(rng.randint(0, 500)) / 100))
                     else:
                         values.append(Value.text(rng.choice(["ab", "cd", "abc", "x", ""])))
-                from verity.storage import Tuple
-                db.apply_row_insert(Tuple(f"tab{t}", tuple(values)))
+                db.apply_row_insert(f"tab{t}", tuple(values))
         return db
 
     def make_query(self, db: Database, allow_derived=True, depth=0) -> str:

@@ -28,7 +28,7 @@ from verity.fingerprint import fingerprint, row_id
 from verity.ledger import SimulatedLedger, TxDraft, TxKind, generate_peers
 from verity.parser import parse
 from verity.rewriter import change_projection, project_results
-from verity.storage import Database, Tuple
+from verity.storage import Database
 from verity.values import NULL, Value, ValueType
 from test_parser import CORPUS
 
@@ -114,10 +114,10 @@ def test_criterion_2_fingerprint_determinism_and_sensitivity():
             values = [rand_value("integer")]
             for k in kinds[1:]:
                 values.append(NULL if rng.random() < 0.25 else rand_value(k))
-            tup = Tuple("bench", tuple(values))
+            row = tuple(values)
             rid = row_id([values[0]], "bench")
-            assert fingerprint(rid, tup) == fingerprint(rid, tup)  # byte-equal rerun
-            fp0 = fingerprint(rid, tup)
+            assert fingerprint(rid, row) == fingerprint(rid, row)  # byte-equal rerun
+            fp0 = fingerprint(rid, row)
 
             idx = rng.randrange(n)
             old = values[idx]
@@ -132,7 +132,7 @@ def test_criterion_2_fingerprint_determinism_and_sensitivity():
             mutated = list(values)
             mutated[idx] = new
             rid2 = row_id([mutated[0]], "bench")
-            if fingerprint(rid2, Tuple("bench", tuple(mutated))) != fp0:
+            if fingerprint(rid2, tuple(mutated)) != fp0:
                 changed += 1
         assert changed == 1000
 
@@ -234,12 +234,12 @@ def test_criterion_3_detection_completeness_and_soundness(fixture_session):
             table = rng.choice(tables)
             td = db.catalog.get(table)
             victims = list(db.rows_of(table))
-            tup = victims[rng.randrange(len(victims))]
+            row = victims[rng.randrange(len(victims))]
             non_pk = [j for j in range(len(td.columns)) if j not in td.pk_indices]
             col_idx = rng.choice(non_pk)
             col = td.columns[col_idx]
-            pk = tuple(tup.values[j] for j in td.pk_indices)
-            original = tup.values[col_idx]
+            pk = td.key(row)
+            original = row[col_idx]
             injected = _mutated_copy(original, col.type, rng)
             assert injected != original
 
@@ -269,8 +269,8 @@ def test_criterion_4_mutation_algorithms_end_to_end(fixture_session):
             td = db.catalog.get(t)
             drafts = []
             from verity.fingerprint import fingerprint_tuple
-            for tup in db.rows_of(t):
-                rid, fp = fingerprint_tuple(tup, td.pk_indices)
+            for row in db.rows_of(t):
+                rid, fp = fingerprint_tuple(td, row)
                 drafts.append(TxDraft(TxKind.PUT, t, "peer-1", row_id=rid, fingerprint=fp))
             drafts.append(TxDraft(TxKind.ADJUST_ROW_COUNT, t, "peer-1", delta=len(drafts)))
             ledger.submit(drafts, "peer-1")
@@ -283,10 +283,10 @@ def test_criterion_4_mutation_algorithms_end_to_end(fixture_session):
         assert ledger.head_height == head + 1          # exactly one block
         assert ledger.get_row_count("up1") == 2        # update keeps counts
         expected_up1 = [(1, 777, 4567), (2, 20, 9)]    # hand-applied mutation
-        assert rows_to_raw(t.values for t in db.rows_of("up1")) == expected_up1
+        assert rows_to_raw(db.rows_of("up1")) == expected_up1
 
         # 5-row VALUES insert into fixture customer
-        before = rows_to_raw(t.values for t in db.rows_of("customer"))
+        before = rows_to_raw(db.rows_of("customer"))
         head = ledger.head_height
         summary, _ = verifier.process(CLEAN_SUITE[13])  # the 5-row insert
         assert summary.rows_affected == 5
@@ -294,30 +294,30 @@ def test_criterion_4_mutation_algorithms_end_to_end(fixture_session):
         assert ledger.get_row_count("customer") == 155
         assert db.row_count("customer") == 155
         new_keys = {91639737, 91639738, 96244913, 96244914, 96244915}
-        after = rows_to_raw(t.values for t in db.rows_of("customer"))
+        after = rows_to_raw(db.rows_of("customer"))
         assert {r[0] for r in after} == {r[0] for r in before} | new_keys
         inserted = [r for r in after if r[0] == 91639738][0]
         assert inserted[1] == "sumpil" and inserted[5] == Decimal(234)
 
         # multi-row DELETE on fixture supplier
-        before_sup = rows_to_raw(t.values for t in db.rows_of("supplier"))
+        before_sup = rows_to_raw(db.rows_of("supplier"))
         expected_remaining = [r for r in before_sup if not r[0] > 6]
         head = ledger.head_height
         summary, _ = verifier.process("delete from supplier where s_suppkey > 6")
         assert summary.rows_affected == len(before_sup) - len(expected_remaining) >= 2
         assert ledger.head_height == head + 1
         assert ledger.get_row_count("supplier") == len(expected_remaining)
-        assert rows_to_raw(t.values for t in db.rows_of("supplier")) == expected_remaining
+        assert rows_to_raw(db.rows_of("supplier")) == expected_remaining
 
         # a SET subquery returning two rows aborts with nothing committed
         head = ledger.head_height
-        rows_before = rows_to_raw(t.values for t in db.rows_of("up1"))
+        rows_before = rows_to_raw(db.rows_of("up1"))
         with pytest.raises(NonScalarSubquery):
             verifier.process(
                 "update up1 set a = (select a from up2 where key > 0) where b = 4567"
             )
         assert ledger.head_height == head
-        assert rows_to_raw(t.values for t in db.rows_of("up1")) == rows_before
+        assert rows_to_raw(db.rows_of("up1")) == rows_before
 
 
 # --- 5. delete audits -------------------------------------------------------------------
@@ -328,7 +328,7 @@ def test_criterion_5_delete_audits(fixture_session):
 
         victim = list(db.rows_of("lineitem"))[17]
         td = db.catalog.get("lineitem")
-        pk = tuple(victim.values[i] for i in td.pk_indices)
+        pk = td.key(victim)
         db.apply_row_delete("lineitem", pk)
 
         mismatches = verifier.audit_counts()
@@ -337,15 +337,13 @@ def test_criterion_5_delete_audits(fixture_session):
         assert mismatches[0].db_count == mismatches[0].ledger_count - 1
 
         # dummy insert brings the count back: the count audit is fooled
-        dummy = Tuple("lineitem", tuple(
-            [Value.integer(999999), Value.integer(1), Value.integer(1),
-             Value.integer(1), Value.decimal(Decimal(1)), Value.decimal(Decimal(1)),
-             Value.decimal(Decimal(0)), Value.decimal(Decimal(0)),
-             Value.text("r"), Value.text("o"), Value.date("1999-01-01"),
-             Value.date("1999-01-01"), Value.date("1999-01-02"),
-             Value.text("none"), Value.text("air"), Value.text("dummy")]
-        ))
-        db.apply_row_insert(dummy)
+        dummy = (Value.integer(999999), Value.integer(1), Value.integer(1),
+                 Value.integer(1), Value.decimal(Decimal(1)), Value.decimal(Decimal(1)),
+                 Value.decimal(Decimal(0)), Value.decimal(Decimal(0)),
+                 Value.text("r"), Value.text("o"), Value.date("1999-01-01"),
+                 Value.date("1999-01-01"), Value.date("1999-01-02"),
+                 Value.text("none"), Value.text("air"), Value.text("dummy"))
+        db.apply_row_insert("lineitem", dummy)
         assert verifier.audit_counts() == []
 
         # the full scan is not fooled

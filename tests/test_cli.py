@@ -49,6 +49,15 @@ def test_config_missing_keys(tmp_path):
         SessionConfig.from_file(str(p))
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2.5"])
+def test_config_peers_must_be_a_positive_integer(tmp_path, value):
+    p = tmp_path / "bad.conf"
+    p.write_text(f"ddl = x\ncsv_dir = y\nledger = z\npeers = {value}\n")
+    with pytest.raises(VerityError) as exc:
+        SessionConfig.from_file(str(p))
+    assert str(p) in str(exc.value) and "peers" in str(exc.value)
+
+
 def test_config_env_fallback(workdir, monkeypatch, capsys):
     _, conf = workdir
     monkeypatch.setenv("VERITY_CONFIG", conf)
@@ -97,6 +106,19 @@ def test_exec_select_exit_0(workdir, capsys):
     assert "africa" in captured.out
     assert "(5 rows)" in captured.out
     assert "verified" in captured.err
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"peers": [{"id": "peer-1"}]}',
+                                  '{"peers": [{"id": "peer-1", "private": "zz"}]}'])
+def test_malformed_peers_file_exits_1_naming_it(workdir, capsys, text):
+    tmp, conf = workdir
+    run(conf, "init")
+    peers_file = tmp / "state" / "ledger.dat.peers.json"
+    peers_file.write_text(text)
+    capsys.readouterr()
+    assert run(conf, "exec", "select * from region") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(peers_file) in err
 
 
 def test_exec_syntax_error_exit_1(workdir, capsys):
@@ -274,6 +296,17 @@ def test_bench_command(workdir, tmp_path, capsys):
     assert "fit_r2" in lines[-1]
 
 
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_bench_refuses_runs_below_one(workdir, tmp_path, capsys, runs):
+    _, conf = workdir
+    run(conf, "init")
+    qfile = tmp_path / "queries.txt"
+    qfile.write_text("q_region: select * from region\n")
+    capsys.readouterr()
+    assert run(conf, "bench", str(qfile), "--runs", runs) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: --runs must be at least 1, got {runs}\n"
+
+
 def test_repl_basic_flow(workdir, capsys, monkeypatch):
     _, conf = workdir
     run(conf, "init")
@@ -316,7 +349,7 @@ def test_tamper_set_reads_its_value_as_the_csv_loader_does(tmp_path, assignment,
     assert (tmp_path / "t.csv").read_text() == f"k,n,s\n{line}\n"
     # the value the next session reads back
     db = open_session(SessionConfig.from_file(conf)).db
-    v = next(db.rows_of("t")).values["kns".index(assignment[0])]
+    v = next(db.rows_of("t"))["kns".index(assignment[0])]
     assert ("NULL" if v.is_null else repr(v.raw)) == stored
 
 

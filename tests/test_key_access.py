@@ -19,7 +19,7 @@ from verity import sqlast as ast
 from verity import storage
 from verity.errors import EvalError
 from verity.parser import parse
-from verity.storage import Database, Tuple, write_csv_row
+from verity.storage import Database, write_csv_row
 from verity.values import NULL, Value, render_value
 
 DDL = """
@@ -38,13 +38,13 @@ def random_db(rng: random.Random) -> Database:
     db.load_ddl(DDL)
     keys = rng.sample(range(1, 41), rng.randint(0, 25))
     for k in keys:
-        db.apply_row_insert(Tuple("o", (Value.integer(k), text_or_null(rng), decimal(rng))))
+        db.apply_row_insert("o", (Value.integer(k), text_or_null(rng), decimal(rng)))
         for n in range(1, rng.randint(1, 4)):
-            db.apply_row_insert(Tuple("l", (Value.integer(k), Value.integer(n), decimal(rng))))
+            db.apply_row_insert("l", (Value.integer(k), Value.integer(n), decimal(rng)))
     for s in rng.sample(WORDS, rng.randint(0, len(WORDS))):
-        db.apply_row_insert(Tuple("t", (Value.text(s), Value.integer(rng.randint(0, 9)))))
+        db.apply_row_insert("t", (Value.text(s), Value.integer(rng.randint(0, 9))))
     for dt in rng.sample(DATES, rng.randint(0, len(DATES))):
-        db.apply_row_insert(Tuple("d", (Value.date(dt), Value.integer(rng.randint(0, 9)))))
+        db.apply_row_insert("d", (Value.date(dt), Value.integer(rng.randint(0, 9))))
     return db
 
 
@@ -161,15 +161,15 @@ def full_db() -> Database:
     db = Database()
     db.load_ddl(DDL)
     for k in range(1, 41):
-        db.apply_row_insert(Tuple("o", (Value.integer(k), Value.text(WORDS[k % len(WORDS)]),
-                                        Value.decimal(Decimal(k) / 10))))
+        db.apply_row_insert("o", (Value.integer(k), Value.text(WORDS[k % len(WORDS)]),
+                                        Value.decimal(Decimal(k) / 10)))
         for n in range(1, 4):
-            db.apply_row_insert(Tuple("l", (Value.integer(k), Value.integer(n),
-                                            Value.decimal(Decimal(n)))))
+            db.apply_row_insert("l", (Value.integer(k), Value.integer(n),
+                                            Value.decimal(Decimal(n))))
     for i, s in enumerate(WORDS):
-        db.apply_row_insert(Tuple("t", (Value.text(s), Value.integer(i))))
+        db.apply_row_insert("t", (Value.text(s), Value.integer(i)))
     for i, dt in enumerate(DATES):
-        db.apply_row_insert(Tuple("d", (Value.date(dt), Value.integer(i % 10))))
+        db.apply_row_insert("d", (Value.date(dt), Value.integer(i % 10)))
     return db
 
 
@@ -256,7 +256,7 @@ def verified_orders(n: int):
     db = Database()
     db.load_ddl(DDL)
     for k in range(1, n + 1):
-        db.apply_row_insert(Tuple("o", (Value.integer(k), Value.text("c"), Value.decimal(k))))
+        db.apply_row_insert("o", (Value.integer(k), Value.text("c"), Value.decimal(k)))
     _, verifier = make_verified(db)
     return db, verifier
 
@@ -327,7 +327,7 @@ def reference_dump(db: Database, table: str, null: str) -> str:
 def random_mutation(rng, db: Database):
     table = rng.choice(["o", "l", "t"])
     td = db.catalog.get(table)
-    stored = [r.values for r in db.rows_of(table)]
+    stored = list(db.rows_of(table))
     pk = None
     if stored:
         picked = rng.choice(stored)
@@ -339,7 +339,7 @@ def random_mutation(rng, db: Database):
     elif op == "insert" or pk is None:
         row = random_row(rng, table)
         if not db.has_row(table, tuple(row[i] for i in td.pk_indices)):
-            db.apply_row_insert(Tuple(table, row))
+            db.apply_row_insert(table, row)
     elif op == "delete":
         db.apply_row_delete(table, pk)
     elif op == "update":

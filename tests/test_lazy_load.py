@@ -123,8 +123,8 @@ def test_clone_of_a_partly_loaded_session_is_complete_and_independent(state):
     assert {t: clone.row_count(t) for t in TABLES} == TINY_COUNTS
     assert {t: db.row_count(t) for t in TABLES} == TINY_COUNTS
     # neither sees the other's mutations
-    clone.apply_row_delete("nation", (next(clone.rows_of("nation")).values[0],))
-    db.apply_row_delete("orders", (next(db.rows_of("orders")).values[0],))
+    clone.apply_row_delete("nation", (next(clone.rows_of("nation"))[0],))
+    db.apply_row_delete("orders", (next(db.rows_of("orders"))[0],))
     assert clone.row_count("nation") == 24 and db.row_count("nation") == 25
     assert db.row_count("orders") == 9 and clone.row_count("orders") == 10
 
@@ -187,7 +187,7 @@ def test_load_csv_adds_all_rows_or_none():
     ]:
         with pytest.raises(ValueTypeError, match=error):
             db.load_csv("t", io.StringIO(csv))
-        assert [r.values[0].raw for r in db.rows_of("t")] == [1]
+        assert [r[0].raw for r in db.rows_of("t")] == [1]
 
 
 def test_init_and_sessions_share_one_registration_path(state, monkeypatch):

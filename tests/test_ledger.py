@@ -1,11 +1,14 @@
 """Ledger: endorsement, quorum, world state, chain verification, persistence."""
 
+import re
+
 import pytest
 
 from conftest import append_forged_block
 from verity.errors import (
     DuplicateRowId,
     EndorsementFailed,
+    LedgerCorrupt,
     LedgerError,
     StaleState,
     UnknownRowId,
@@ -333,6 +336,24 @@ def test_peer_sidecar_round_trip(tmp_path):
     assert [p.peer_id for p in loaded] == [p.peer_id for p in peers]
     sig = loaded[0].sign(b"data")
     assert peers[0].verify(sig, b"data")
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    b"{not json",
+    b"\xff\xfe",
+    b"[]",
+    b'{"nodes": []}',
+    b'{"peers": [{"id": "peer-1"}]}',
+    b'{"peers": [{"id": "peer-1", "private": "not hex"}]}',
+    b'{"peers": [{"id": "peer-1", "private": "abcd"}]}',
+    b'{"peers": ["peer-1"]}',
+])
+def test_malformed_peer_sidecar_is_ledger_corrupt(tmp_path, data):
+    path = tmp_path / "peers.json"
+    path.write_bytes(data)
+    with pytest.raises(LedgerCorrupt, match=re.escape(str(path))):
+        load_peers(str(path))
 
 
 def test_flip_byte_in_block_payload_detected_at_that_height(tmp_path):

@@ -9,7 +9,7 @@ from conftest import RandomDbGen, as_multiset, make_t123, rows_to_raw
 from verity import sqlast as ast
 from verity.errors import AmbiguousColumn, UnknownColumn, UnknownTable, UnsupportedFeature
 from verity.parser import parse
-from verity.rewriter import change_projection, project_results, tuples_of
+from verity.rewriter import change_projection, project_results
 from verity.storage import Database
 
 
@@ -90,7 +90,7 @@ def test_coverage_every_alias_has_column_map_entry():
         assert e.stop - e.start == len(e.tabledef.columns)
 
 
-def test_tuples_of_slice_extraction():
+def test_exposure_slice_is_the_base_row():
     db = make_t123()
     q = parse("select t1.a, t2.b, t3.c from t1, t2, t3 "
               "where t1.a = t2.a and t2.b = t3.b")
@@ -98,19 +98,19 @@ def test_tuples_of_slice_extraction():
     wide = db.exec_select(rw.wide_query)
     assert len(wide) == 1
     by_table = {e.table: e for e in rw.column_map}
-    t2_tuple = tuples_of(wide[0], by_table["t2"])
-    assert t2_tuple.table == "t2"
-    assert [v.raw for v in t2_tuple.values] == [7, 8, 9]
-    t1_tuple = tuples_of(wide[0], by_table["t1"])
-    assert [v.raw for v in t1_tuple.values] == [1, 2, 7]
+    for table, want in [("t2", [7, 8, 9]), ("t1", [1, 2, 7])]:
+        e = by_table[table]
+        row = wide[0][e.start:e.stop]
+        assert [v.raw for v in row] == want
+        assert row in db.rows_of(table)
 
 
-def test_tuples_of_whole_row_for_single_table():
+def test_exposure_slice_is_the_whole_row_for_single_table():
     db = make_t123()
     rw = change_projection(parse("select * from t3"), db.catalog)
     wide = db.exec_select(rw.wide_query)
-    tup = tuples_of(wide[0], rw.column_map[0])
-    assert tuple(v.raw for v in tup.values) == (4, 5, 9)
+    e = rw.column_map[0]
+    assert tuple(v.raw for v in wide[0][e.start:e.stop]) == (4, 5, 9)
 
 
 def test_project_results_reconstructs_original_projection():

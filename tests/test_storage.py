@@ -25,7 +25,7 @@ from verity.errors import (
     ValueTypeError,
 )
 from verity.parser import parse
-from verity.storage import Database, Tuple, iter_csv
+from verity.storage import Database, iter_csv
 from verity.values import NULL, Value, ValueType, decimal_str
 
 
@@ -110,7 +110,7 @@ def test_load_csv_counts_and_nulls():
     db.create_table("create table t (a integer, b text, primary key (a))")
     n = db.load_csv("t", io.StringIO('a,b\n1,hello\n2,\n3,"quoted,comma"\n4,""\n'))
     assert n == 4
-    rows = [r.values for r in db.rows_of("t")]
+    rows = list(db.rows_of("t"))
     assert rows[1][1] is NULL or rows[1][1].is_null       # unquoted empty -> NULL
     assert rows[2][1].raw == "quoted,comma"
     assert rows[3][1].raw == ""                           # quoted empty stays text
@@ -120,7 +120,7 @@ def test_load_csv_custom_null_literal():
     db = Database()
     db.create_table("create table t (a integer, b text, primary key (a))")
     db.load_csv("t", io.StringIO('a,b\n1,NULL\n2,"NULL"\n'), null_literal="NULL")
-    rows = [r.values for r in db.rows_of("t")]
+    rows = list(db.rows_of("t"))
     assert rows[0][1].is_null
     assert rows[1][1].raw == "NULL"
 
@@ -155,7 +155,7 @@ def test_csv_quote_escape_round_trip():
     db2 = Database()
     db2.create_table("create table t (a integer, b text, primary key (a))")
     db2.load_csv("t", io.StringIO(out.getvalue()))
-    assert [r.values for r in db2.rows_of("t")] == [r.values for r in db.rows_of("t")]
+    assert list(db2.rows_of("t")) == list(db.rows_of("t"))
 
 
 def test_csv_crlf_line_endings():
@@ -306,9 +306,9 @@ def test_derived_table_materialized_first():
 
 def test_insert_then_select_by_pk():
     db = region_db()
-    db.apply_row_insert(Tuple("region", (
+    db.apply_row_insert("region", (
         Value.integer(7), Value.text("atlantis"), NULL,
-    )))
+    ))
     rows = db.exec_select(parse("select r_name from region where r_regionkey = 7"))
     assert rows[0][0].raw == "atlantis"
 
@@ -337,9 +337,9 @@ def test_raw_mutate_changes_stored_value_quietly():
 def test_pk_uniqueness_after_mutations():
     db = region_db()
     with pytest.raises(DuplicatePrimaryKey):
-        db.apply_row_insert(Tuple("region", (Value.integer(0), Value.text("x"), NULL)))
+        db.apply_row_insert("region", (Value.integer(0), Value.text("x"), NULL))
     db.apply_row_delete("region", (Value.integer(0),))
-    db.apply_row_insert(Tuple("region", (Value.integer(0), Value.text("x"), NULL)))
+    db.apply_row_insert("region", (Value.integer(0), Value.text("x"), NULL))
     assert db.row_count("region") == 5
 
 

@@ -12,6 +12,7 @@ from verity.errors import (
     DuplicateRowId,
     LedgerError,
     NonScalarSubquery,
+    NullPrimaryKey,
     PkUpdateUnsupported,
     TamperDetected,
     UnsupportedFeature,
@@ -20,7 +21,7 @@ from verity.fingerprint import row_id
 from verity.ledger import SimulatedLedger, generate_peers
 from verity.parser import parse
 from verity.sqlast import QueryKind
-from verity.storage import Database, Tuple
+from verity.storage import Database
 from verity.values import Value
 from verity.verifier import MutationSummary, Verifier
 
@@ -190,7 +191,7 @@ def test_raw_delete_is_invisible_to_select_but_absent_rid_alerts():
     db.create_table("create table t (k integer, v text, primary key (k))")
     db.load_csv("t", io.StringIO("k,v\n1,a\n"))
     _, verifier = make_verified(db)
-    db.apply_row_insert(Tuple("t", (Value.integer(9), Value.text("dummy"))))
+    db.apply_row_insert("t", (Value.integer(9), Value.text("dummy")))
     with pytest.raises(TamperDetected) as exc:
         verifier.process("select * from t")
     assert exc.value.alerts[0].expected == "ABSENT"
@@ -203,7 +204,7 @@ def test_select_on_deleted_marked_row_alerts():
     _, verifier = make_verified(db)
     verifier.process("delete from t where k = 1")
     # attacker restores the row out of band; its ledger record says deleted
-    db.apply_row_insert(Tuple("t", (Value.integer(1), Value.text("a"))))
+    db.apply_row_insert("t", (Value.integer(1), Value.text("a")))
     with pytest.raises(TamperDetected) as exc:
         verifier.process("select * from t")
     assert exc.value.alerts[0].expected == "DELETED"
@@ -239,7 +240,7 @@ def test_update_example_end_to_end():
 
 def test_update_subquery_two_rows_aborts_with_nothing_committed():
     db = update_example_db()
-    db.apply_row_insert(Tuple("t2", (Value.integer(1235), Value.integer(999))))
+    db.apply_row_insert("t2", (Value.integer(1235), Value.integer(999)))
     ledger, verifier = make_verified(db)
     head_before = ledger.head_height
     with pytest.raises(NonScalarSubquery):
@@ -362,7 +363,26 @@ def test_insert_unlisted_columns_become_null():
     _, verifier = make_verified(db)
     verifier.process("insert into c (k, name) values (1, 'x')")
     row = next(db.rows_of("c"))
-    assert row.values[2].is_null
+    assert row[2].is_null
+
+
+@pytest.mark.parametrize("sql", [
+    "insert into c (name) values ('x')",                          # key column omitted
+    "insert into c (k, name) select v, t from src where id = 2",  # a NULL key selected
+    "insert into c (k, name) select v, t from src",               # one NULL in a batch
+])
+def test_insert_with_a_null_primary_key_is_refused_before_the_ledger(sql):
+    db = Database()
+    db.create_table("create table c (k integer, name text, primary key (k))")
+    db.create_table("create table src (id integer, v integer, t text, primary key (id))")
+    db.load_csv("c", io.StringIO("k,name\n5,e\n"))
+    db.load_csv("src", io.StringIO("id,v,t\n1,7,a\n2,,b\n"))
+    ledger, verifier = make_verified(db)
+    head = ledger.head_height
+    with pytest.raises(NullPrimaryKey):
+        verifier.process(sql)
+    assert ledger.head_height == head
+    assert ledger.get_row_count("c") == db.row_count("c") == 1
 
 
 def test_insert_select_verifies_source_and_copies():
@@ -475,7 +495,7 @@ def test_audit_counts_fooled_by_delete_plus_dummy_insert():
     db.load_csv("li", io.StringIO("k,v\n" + "".join(f"{i},w\n" for i in range(10))))
     _, verifier = make_verified(db)
     db.apply_row_delete("li", (Value.integer(3),))
-    db.apply_row_insert(Tuple("li", (Value.integer(99), Value.text("dummy"))))
+    db.apply_row_insert("li", (Value.integer(99), Value.text("dummy")))
     assert verifier.audit_counts() == []  # the count audit cannot see this
 
 
@@ -485,7 +505,7 @@ def test_audit_full_catches_delete_plus_dummy_insert():
     db.load_csv("li", io.StringIO("k,v\n" + "".join(f"{i},w\n" for i in range(10))))
     _, verifier = make_verified(db)
     db.apply_row_delete("li", (Value.integer(3),))
-    db.apply_row_insert(Tuple("li", (Value.integer(99), Value.text("dummy"))))
+    db.apply_row_insert("li", (Value.integer(99), Value.text("dummy")))
     alerts, missing = verifier.audit_full()
     assert len(alerts) == 1 and alerts[0].expected == "ABSENT"
     assert len(missing) == 1
