@@ -8,42 +8,43 @@ nothing, so flipping any column between NULL and a value always changes the
 digest. Rows are plain tuples of ``Value``s, aligned to their table's
 columns.
 
-A value's bytes are its canonical text (``values.render_value``) in UTF-8,
-the same text the CSV writer stores. Fields are joined with the 0x1F unit
-separator. Plain concatenation would make ("ab","c") collide with
-("a","bc"); text values containing 0x1F are rejected at ingestion, so the
-serialized form stays unambiguous.
+A value's text is its canonical rendering, the same text the CSV writer
+stores. That rule lives in ``values``: ``render_value`` is its reference and
+``render_texts`` renders a whole row in one pass, which is what is hashed
+here. Fields are joined with the 0x1F unit separator and the joined text is
+encoded as UTF-8 once; since the separator is ASCII, that equals joining
+each field's UTF-8 bytes. Plain concatenation would make ("ab","c") collide
+with ("a","bc"); text values containing 0x1F are rejected at ingestion, so
+the serialized form stays unambiguous.
 """
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha256
 
 from .errors import NullPrimaryKey
 from .sqlast import TableDef
-from .values import render_value
+from .values import render_texts
 
-SEPARATOR = b"\x1f"
+SEPARATOR = "\x1f"
 
 
 def row_id(pk_values, table: str) -> str:
     """64-char hex SHA-256 over the primary key joined to the table name."""
     if not pk_values:
         raise NullPrimaryKey("empty primary key")
-    parts = []
-    for v in pk_values:
-        if v.is_null:
-            raise NullPrimaryKey(f"NULL primary key component for table {table!r}")
-        parts.append(render_value(v).encode("utf-8"))
-    parts.append(table.lower().encode("utf-8"))
-    return hashlib.sha256(SEPARATOR.join(parts)).hexdigest()
+    texts = render_texts(pk_values)
+    if len(texts) != len(pk_values):  # NULLs render to nothing
+        raise NullPrimaryKey(f"NULL primary key component for table {table!r}")
+    texts.append(table.lower())
+    return sha256(SEPARATOR.join(texts).encode("utf-8")).hexdigest()
 
 
 def fingerprint(rid: str, row) -> str:
     """64-char hex SHA-256 over the row id and all non-NULL column values."""
-    parts = [rid.encode("ascii")]
-    parts.extend(render_value(v).encode("utf-8") for v in row if not v.is_null)
-    return hashlib.sha256(SEPARATOR.join(parts)).hexdigest()
+    texts = render_texts(row)
+    texts.insert(0, rid)
+    return sha256(SEPARATOR.join(texts).encode("utf-8")).hexdigest()
 
 
 def fingerprint_tuple(td: TableDef, row) -> tuple[str, str]:

@@ -49,7 +49,7 @@ from .sqlast import (
     UpdateQuery,
     ValuesSource,
 )
-from .values import Value, ValueType
+from .values import NULL, Value, ValueType
 
 # Unsupported keywords rejected before parsing; these are reserved words.
 _UNSUPPORTED = {
@@ -441,6 +441,8 @@ class _Parser:
         if t.type == STRING:
             self.advance()
             return Literal(Value.text(t.value))
+        if self.accept_kw("null"):
+            return Literal(NULL)
         if t.type == IDENT and t.value in AGGREGATE_FUNCS and self.peek(1).type == OP and self.peek(1).value == "(":
             func = self.advance().value
             self.expect_op("(")

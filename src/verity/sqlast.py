@@ -358,6 +358,8 @@ def render_expr(e: Expr) -> str:
 
 
 def _render_literal(v: Value) -> str:
+    if v.is_null:
+        return "null"
     if v.kind is ValueType.INTEGER:
         return str(v.raw)
     if v.kind is ValueType.DECIMAL:

@@ -172,7 +172,7 @@ class Verifier:
             q = parse(sql_text)
         ctx.kind = kind = classify(q)
         if kind is QueryKind.SELECT:
-            rows, rw = self._select(q, ctx)
+            rows, rw, _ = self._select(q, ctx)
             return rows, self._report(kind, ctx, columns=rw.output_names)
         write = {QueryKind.UPDATE: self._update, QueryKind.INSERT: self._insert,
                  QueryKind.DELETE: self._delete}[kind]
@@ -184,20 +184,25 @@ class Verifier:
     # --- the verified SELECT pipeline ----------------------------------------
 
     def _select(self, q: ast.SelectQuery, ctx: _Ctx):
+        """``(rows, rewrite, row ids)``: the user's result rows, released only
+        once every base tuple behind them verified, and, per exposure of
+        ``rewrite.column_map``, the row id of each wide row's tuple."""
         with _Timer(ctx, "rewrite"):
             rw = change_projection(q, self.db.catalog)
         with _Timer(ctx, "db_exec"):
             wide_rows = self.db.exec_select(rw.wide_query)
         with _Timer(ctx, "ledger_lookup"):
+            row_ids = []
             for exposure in rw.column_map:
                 ctx.touch_table(exposure.table)
-                self._verify_rows(ctx, exposure.tabledef, wide_rows, exposure.start)
+                row_ids.append(self._verify_rows(ctx, exposure.tabledef, wide_rows,
+                                                 exposure.start))
         if ctx.alerts:
             self._log_alerts(ctx.alerts)
             raise TamperDetected(ctx.alerts, self._report(ctx.kind, ctx, outcome="tampered"))
         with _Timer(ctx, "db_exec"):
             rows = project_results(wide_rows, rw)
-        return rows, rw
+        return rows, rw, row_ids
 
     # --- UPDATE, INSERT, DELETE ------------------------------------------------
 
@@ -216,7 +221,7 @@ class Verifier:
         scalars: dict[int, ast.Literal] = {}
         for i, a in enumerate(q.assignments):
             if isinstance(a.value, ast.ScalarSubquery):
-                rows, _ = self._select(a.value.query, ctx)
+                rows, _, _ = self._select(a.value.query, ctx)
                 if len(rows) != 1 or len(rows[0]) != 1:
                     raise NonScalarSubquery(
                         f"SET subquery for {a.column!r} returned "
@@ -262,7 +267,7 @@ class Verifier:
                 raise UnsupportedFeature(
                     f"INSERT ... SELECT reading its own target table {td.name!r}"
                 )
-            src_rows, _ = self._select(q.source.query, ctx)
+            src_rows, _, _ = self._select(q.source.query, ctx)
         else:
             src_rows = [tuple(eval_expr(e, ()) for e in row_exprs)
                         for row_exprs in q.source.rows]
@@ -308,12 +313,13 @@ class Verifier:
     def _target_rows(self, td: TableDef, where, ctx: _Ctx) -> list[tuple[str, tuple, tuple]]:
         """``(row id, primary key, row)`` of every row of ``td`` that ``where``
         selects, in key order, each verified by the SELECT pipeline, so its
-        verified fingerprint is ``ctx.checked[row id]``."""
+        verified fingerprint is ``ctx.checked[row id]``. The row ids are the
+        ones that check computed: a ``select *`` of one table keeps its wide
+        rows, in order."""
         q = ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
                             (ast.BaseTable(td.name, None),), where)
-        rows, _ = self._select(q, ctx)
-        pks = [td.key(row) for row in rows]
-        return [(row_id(pk, td.name), pk, row) for pk, row in zip(pks, rows)]
+        rows, _, (rids,) = self._select(q, ctx)
+        return [(rid, td.key(row), row) for rid, row in zip(rids, rows)]
 
     def _commit_and_apply(self, ctx: _Ctx, kind: QueryKind, table: str, principal: str,
                           drafts: list, apply, ops: list) -> MutationSummary:
@@ -362,9 +368,10 @@ class Verifier:
 
     # --- helpers ----------------------------------------------------------------
 
-    def _verify_rows(self, ctx: _Ctx, td: TableDef, rows: list, start: int = 0):
-        """The one tuple check. Each of ``rows`` holds a row of table ``td``
-        at ``[start, start + width)``; each distinct row id among them is
+    def _verify_rows(self, ctx: _Ctx, td: TableDef, rows: list, start: int = 0) -> list[str]:
+        """The one tuple check; returns the row id of each of ``rows``, in
+        order. Each of ``rows`` holds a row of table ``td`` at
+        ``[start, start + width)``; each distinct row id among them is
         fingerprinted once per statement (``ctx.checked`` keeps its
         fingerprint) and looked up in the ledger. A fingerprint the ledger
         does not hold as that row's active one adds an alert naming what the
@@ -372,9 +379,11 @@ class Verifier:
         stop = start + len(td.columns)
         checked = ctx.checked
         ctx.seen += len(rows)
+        rids = []
         for wide in rows:
             row = wide[start:stop]
             rid = row_id(td.key(row), td.name)
+            rids.append(rid)
             if rid in checked:
                 continue
             fp = checked[rid] = fingerprint(rid, row)
@@ -389,6 +398,7 @@ class Verifier:
                 continue
             ctx.alerts.append(TamperAlert(rid, td.name, expected, fp,
                                           ctx.query_hash, self.clock()))
+        return rids
 
     def _report(self, kind, ctx: _Ctx, outcome: str = "verified",
                 columns: list[str] | None = None) -> VerificationReport:

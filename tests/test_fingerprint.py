@@ -10,6 +10,7 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_verified
 from verity.errors import NullPrimaryKey
@@ -17,7 +18,7 @@ from verity.fingerprint import fingerprint, fingerprint_tuple, row_id
 from verity.fixtures import generate_fixture
 from verity.parser import parse, parse_table_def
 from verity.storage import Database
-from verity.values import NULL, Value, ValueType
+from verity.values import INT64_MAX, INT64_MIN, NULL, Value, ValueType, render_value
 
 # printf '1234\x1ft1' | sha256sum
 GOLDEN_RID_T1 = "66ad75ab1bc42cb64f5bca6fa6f828f06fe2649682d69c2aa171719449c52ed9"
@@ -199,3 +200,63 @@ def test_bootstrapped_ledger_digests_are_unchanged(tmp_path):
     assert len(pairs) == sum(TINY_COUNTS.values())
     digest = hashlib.sha256("".join(r + f for r, f in pairs).encode("ascii")).hexdigest()
     assert digest == GOLDEN_TINY_LEDGER
+
+
+# --- byte-layout parity ------------------------------------------------------
+# The reference rule, frozen here as it stood before rows were rendered in one
+# pass: each value's canonical text (``render_value``, with its DECIMAL rule
+# copied so a change to ``decimal_str`` shows too) in UTF-8, joined with 0x1F.
+# NULL columns contribute nothing; a NULL key component is refused.
+
+def _reference_text(v):
+    if v.kind is ValueType.DECIMAL:
+        return "0" if v.raw == 0 else format(v.raw.normalize(), "f")
+    return render_value(v)
+
+
+def _reference_row_id(pk_values, table):
+    if not pk_values or any(v.is_null for v in pk_values):
+        raise NullPrimaryKey("reference")
+    parts = [_reference_text(v).encode("utf-8") for v in pk_values]
+    parts.append(table.lower().encode("utf-8"))
+    return hashlib.sha256(b"\x1f".join(parts)).hexdigest()
+
+
+def _reference_fingerprint(rid, row):
+    parts = [rid.encode("ascii")]
+    parts.extend(_reference_text(v).encode("utf-8") for v in row if not v.is_null)
+    return hashlib.sha256(b"\x1f".join(parts)).hexdigest()
+
+
+_INT64 = st.one_of(st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+                   st.integers(INT64_MIN, INT64_MAX))
+# sign, coefficient digits (leading and trailing zeros allowed) and exponent:
+# covers negative zero, 0E-5, 1.500E+3 and 901.00
+_DECIMAL = st.builds(lambda sign, digits, exp: Decimal((sign, tuple(digits), exp)),
+                     st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1, max_size=20),
+                     st.integers(-30, 30))
+_TEXT = st.text(st.characters(blacklist_characters="\x1f", blacklist_categories=("Cs",)),
+                max_size=20)
+_NON_NULL = st.one_of(
+    _INT64.map(Value.integer),
+    _DECIMAL.map(Value.decimal),
+    _TEXT.map(Value.text),
+    st.dates().map(lambda d: Value.date(d.isoformat())),
+)
+_ANY = st.one_of(st.just(NULL), _NON_NULL)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pk=st.lists(_NON_NULL, min_size=1, max_size=4), table=_TEXT,
+       row=st.lists(_ANY, max_size=12))
+def test_row_id_and_fingerprint_match_the_reference_layout(pk, table, row):
+    rid = row_id(pk, table)
+    assert rid == _reference_row_id(pk, table)
+    assert fingerprint(rid, tuple(row)) == _reference_fingerprint(rid, tuple(row))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pk=st.lists(_ANY, min_size=1, max_size=4).filter(lambda p: NULL in p))
+def test_any_null_key_component_is_refused(pk):
+    with pytest.raises(NullPrimaryKey):
+        row_id(pk, "t")

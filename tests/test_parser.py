@@ -210,6 +210,18 @@ def test_delete_never_contains_nested_select():
     assert not ast.has_nested_select(q)
 
 
+@pytest.mark.parametrize("sql, rendered", [
+    ("insert into c (k, name) values (1, null)", "insert into c (k, name) values (1, null)"),
+    ("update c set name = NULL where k = 1", "update c set name = null where (k = 1)"),
+    ("select * from c where name = null", "select * from c where (name = null)"),
+    ("select k + null, - null from c", "select (k + null), (- null) from c"),
+])
+def test_null_literal_parses_and_round_trips(sql, rendered):
+    q = parse(sql)
+    assert render(q) == rendered
+    assert parse(rendered) == q
+
+
 @pytest.mark.parametrize("qid", sorted(CORPUS))
 def test_corpus_parses(qid):
     q = parse(CORPUS[qid])

@@ -22,7 +22,7 @@ from verity.ledger import SimulatedLedger, generate_peers
 from verity.parser import parse
 from verity.sqlast import QueryKind
 from verity.storage import Database
-from verity.values import Value
+from verity.values import NULL, Value
 from verity.verifier import MutationSummary, Verifier
 
 
@@ -134,6 +134,30 @@ def test_update_and_delete_reuse_the_fingerprints_their_select_verified(monkeypa
     assert calls == {"fingerprint": 10, "fingerprint_tuple": 0}  # verify old only
     monkeypatch.undo()
     assert ledger.verify_chain().ok
+    assert verifier.audit_full() == ([], [])
+    assert verifier.audit_counts() == []
+
+
+@pytest.mark.parametrize("sql, n", [
+    ("update t set v = 0 where k < 2", 2),
+    ("update t set v = v + 1 where k >= 3", 4),
+    ("delete from t where k < 4", 4),
+    ("delete from t where k = 6", 1),
+])
+def test_update_and_delete_hash_each_target_row_id_once(monkeypatch, sql, n):
+    """The row ids the SELECT check computed are the ones the mutation uses."""
+    db = Database()
+    db.create_table("create table t (k integer, v integer, primary key (k))")
+    db.load_csv("t", io.StringIO("k,v\n" + "".join(f"{k},{k}\n" for k in range(7))))
+    ledger, verifier = make_verified(db)
+    row_ids = []
+    original = verity.verifier.row_id
+    monkeypatch.setattr(verity.verifier, "row_id",
+                        lambda pk, table: row_ids.append(pk) or original(pk, table))
+    summary, _ = verifier.process(sql)
+    assert summary.rows_affected == n
+    assert len(row_ids) == len(set(row_ids)) == n
+    monkeypatch.undo()
     assert verifier.audit_full() == ([], [])
     assert verifier.audit_counts() == []
 
@@ -370,6 +394,7 @@ def test_insert_unlisted_columns_become_null():
     "insert into c (name) values ('x')",                          # key column omitted
     "insert into c (k, name) select v, t from src where id = 2",  # a NULL key selected
     "insert into c (k, name) select v, t from src",               # one NULL in a batch
+    "insert into c (k, name) values (null, 'x')",                 # a NULL key literal
 ])
 def test_insert_with_a_null_primary_key_is_refused_before_the_ledger(sql):
     db = Database()
@@ -383,6 +408,37 @@ def test_insert_with_a_null_primary_key_is_refused_before_the_ledger(sql):
         verifier.process(sql)
     assert ledger.head_height == head
     assert ledger.get_row_count("c") == db.row_count("c") == 1
+
+
+def _null_literal_db():
+    db = Database()
+    db.create_table("create table c (k integer, name text, d decimal, primary key (k))")
+    db.load_csv("c", io.StringIO("k,name,d\n5,e,1.5\n"))
+    return db
+
+
+def test_null_literal_in_values_stores_null_like_an_omitted_column():
+    db_literal, db_omitted = _null_literal_db(), _null_literal_db()
+    ledger_literal, v_literal = make_verified(db_literal)
+    ledger_omitted, v_omitted = make_verified(db_omitted)
+    v_literal.process("insert into c (k, name, d) values (1, null, NULL)")
+    v_omitted.process("insert into c (k) values (1)")
+    rows, _ = v_literal.process("select name, d from c where k = 1")
+    assert rows == [(NULL, NULL)]
+    rid = row_id([Value.integer(1)], "c")
+    assert ledger_literal.get_current(rid).fingerprint == \
+        ledger_omitted.get_current(rid).fingerprint
+    assert v_literal.audit_full() == ([], [])
+
+
+def test_update_set_null_literal_stores_null():
+    db = _null_literal_db()
+    ledger, verifier = make_verified(db)
+    summary, _ = verifier.process("update c set name = null, d = null where k = 5")
+    assert summary.rows_affected == 1
+    rows, _ = verifier.process("select * from c")
+    assert rows == [(Value.integer(5), NULL, NULL)]
+    assert verifier.audit_full() == ([], [])
 
 
 def test_insert_select_verifies_source_and_copies():
