@@ -10,8 +10,8 @@ identifier, keywords included (``create table t (order text)``).
 
 Features the engine deliberately does not handle (IN, ANY, EXISTS,
 GROUP BY, HAVING, joins spelled with JOIN keywords, DISTINCT, UNION,
-ORDER BY, LIMIT, BETWEEN) are rejected up front as UnsupportedFeature
-rather than surfacing as confusing syntax errors.
+ORDER BY, LIMIT, BETWEEN, a prefix NOT, LIKE NULL) are rejected up front as
+UnsupportedFeature rather than surfacing as confusing syntax errors.
 """
 
 from __future__ import annotations
@@ -388,6 +388,8 @@ class _Parser:
                 return inner
             except SqlSyntaxError:
                 self.pos = mark
+        if self.at_kw("not"):  # two-valued predicates: NOT would misread NULL
+            raise UnsupportedFeature("not", self.peek().pos)
         left = self.parse_expr()
         if self.at_kw("not"):
             self.advance()
@@ -402,6 +404,8 @@ class _Parser:
 
     def _like_pattern(self) -> str:
         t = self.peek()
+        if self.at_kw("null"):
+            raise UnsupportedFeature("like null", t.pos)
         if t.type != STRING:
             self.fail("expected a string pattern after LIKE", {"<string>"})
         self.advance()

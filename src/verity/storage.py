@@ -1,32 +1,33 @@
 """Embedded relational engine: catalog, typed in-memory tables, execution of
-the supported SQL subset, and CSV ingestion.
+the supported SQL subset, and CSV ingestion. Storage reads no SQL text: its
+tables come from ``parser.parse_table_def`` and ``parser.parse_ddl``, and
+queries arrive as parsed ASTs.
 
-Storage reads no SQL text itself: ``create_table`` and ``load_ddl`` define
-the tables that ``parser.parse_table_def`` and ``parser.parse_ddl`` read
-from CREATE TABLE statements, and queries arrive as parsed ASTs.
+A SELECT runs in four steps. Derived tables are materialized first. The
+binder then resolves every column name once, to a position in the joined
+row, through ``Scope``: the one resolver of column names in queries, which
+the rewriter uses too. The planner (``_plan``) gives each bound WHERE
+conjunct to the deepest FROM item it reads: conjuncts over one item filter
+that item's rows once; an ``=`` between an expression over an item and one
+over earlier items becomes a hash-join key; the rest are checked on each
+joined row. Last, every conjunct, key and output expression compiles once
+into a closure that runs per row (``compile_predicate``, ``compile_expr``).
+Inside an arithmetic tree the closures pass raw ints and Decimals and build
+a Value only for the result. Every typed check still runs per row, since a
+stored value may have another kind than its column's declared type, and
+compiling never raises: an expression that cannot evaluate raises on the
+first row that evaluates it. The join keeps nested-loop order: rows come out
+by the first item's primary key, then the second's, and so on. No cost model.
 
-A SELECT runs in three steps. Derived tables are materialized first. A
-binder pass then resolves every column name once, to a position in the
-joined row, through ``Scope``: the one resolver of column names in queries,
-which the rewriter uses too, so both reject a bad name with the same error.
-The binder also gives each WHERE conjunct to the deepest FROM item it reads:
-conjuncts over one item filter that item's rows once; an ``=`` between an
-expression over an item and one over earlier items becomes a hash-join key
-(the item's filtered rows are hashed on it and probed by each earlier row);
-the rest are checked on each joined row. The join keeps nested-loop order:
-rows come out sorted by the first item's primary key, then the second's,
-and so on. Hash tables live for one statement. No cost model.
-
-Each base table keeps its rows in key order, and a mutation keeps that
-order by bisecting on its row's key instead of re-sorting. That order is the
-one access path: when a base table's leading filters compare the first
-primary-key column with a literal of its comparison class (numeric with
-numeric, TEXT/DATE with TEXT/DATE; ``=``, ``<``, ``<=``, ``>``, ``>=``), the
-table's rows are narrowed by bisection to the key range they select, and
-only the filters after them are evaluated, on that range alone. A key
-filter placed after another kind of filter, or inside an OR, narrows
-nothing, so every evaluated filter still sees, and raises on, the rows the
-full scan would show it. ``dump_csv`` renders each
+Each base table keeps its rows in key order, which a mutation keeps by
+bisecting on its row's key. That order is the one access path: when a base
+table's leading filters compare the first primary-key column with a literal
+of its comparison class (numeric with numeric, TEXT/DATE with TEXT/DATE;
+``=``, ``<``, ``<=``, ``>``, ``>=``), the table's rows are narrowed by
+bisection to the key range they select, and only the later filters are
+evaluated, on that range alone. A key filter after another kind of filter,
+or inside an OR, narrows nothing, so every evaluated filter still sees, and
+raises on, the rows the full scan would show it. ``dump_csv`` renders each
 row's CSV line once and reuses it while that row object stays stored.
 
 Tables load on first use. ``register_csv`` names a table's CSV file, and
@@ -55,6 +56,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal, DivisionByZero, InvalidOperation
+from functools import reduce
 
 from . import sqlast as ast
 from .errors import (
@@ -71,7 +73,8 @@ from .errors import (
 )
 from .parser import parse_ddl, parse_table_def
 from .sqlast import TableDef
-from .values import NULL, Value, ValueType, coerce, parse_typed, quantize_decimal, render_value
+from .values import (INT64_MAX, INT64_MIN, NULL, Value, ValueType, coerce, parse_typed,
+                     quantize_decimal, render_value)
 
 Row = tuple  # tuple[Value, ...]
 
@@ -293,32 +296,14 @@ class Scope:
         return [col for _, cols in self.blocks for col in cols]
 
     def bind(self, node):
-        """``node`` ready to evaluate: every column reference resolved to its
-        position and every LIKE pattern compiled."""
-        def leaf(c):
-            if isinstance(c, ast.BoundCol):
-                return c
-            return ast.BoundCol(self.resolve(c.table, c.column))
-
-        def like(p, expr):
-            return _Like(expr, _like_regex(p.pattern), p.negated)
-
-        return map_columns(node, leaf, like)
+        """``node`` with every column reference resolved to its position."""
+        return map_columns(node, lambda c: c if isinstance(c, ast.BoundCol)
+                           else ast.BoundCol(self.resolve(c.table, c.column)))
 
 
-@dataclass(frozen=True)
-class _Like:
-    """A bound LIKE predicate, its pattern compiled once."""
-    expr: object
-    regex: re.Pattern
-    negated: bool
-
-
-def map_columns(node, leaf, like=None):
+def map_columns(node, leaf):
     """Copy of an expression or predicate with every column (``ColumnRef`` or
-    ``BoundCol``) replaced by ``leaf(column)``. A LIKE predicate stays SQL
-    unless ``like`` is given, when it becomes ``like(predicate, mapped
-    operand)``."""
+    ``BoundCol``) replaced by ``leaf(column)``."""
     def walk(node):
         if isinstance(node, (ast.ColumnRef, ast.BoundCol)):
             return leaf(node)
@@ -331,11 +316,7 @@ def map_columns(node, leaf, like=None):
         if isinstance(node, ast.Comparison):
             return ast.Comparison(node.op, walk(node.left), walk(node.right))
         if isinstance(node, ast.LikePredicate):
-            if like is not None:
-                return like(node, walk(node.expr))
             return ast.LikePredicate(walk(node.expr), node.pattern, node.negated)
-        if isinstance(node, _Like):
-            return _Like(walk(node.expr), node.regex, node.negated)
         if isinstance(node, (ast.And, ast.Or)):
             return type(node)(walk(node.left), walk(node.right))
         return node
@@ -356,130 +337,153 @@ def _shift(node, offset: int):
 
 
 def _like_regex(pattern: str) -> re.Pattern:
-    parts = []
-    for ch in pattern:
-        if ch == "%":
-            parts.append(".*")
-        elif ch == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(ch))
-    return re.compile("".join(parts), re.DOTALL)
+    wild = {"%": ".*", "_": "."}
+    return re.compile("".join(wild.get(ch) or re.escape(ch) for ch in pattern), re.DOTALL)
 
 
 def _conjuncts(p) -> list:
-    if p is None:
-        return []
     if isinstance(p, ast.And):
         return _conjuncts(p.left) + _conjuncts(p.right)
-    return [p]
+    return [] if p is None else [p]
 
 
-# --- expression evaluation (bound trees only) --------------------------------
+# --- compiled evaluation -----------------------------------------------------
+#
+# Closures over raw values: an int, a Decimal, None for NULL, or the Value
+# itself for TEXT and DATE, whose raw strings do not tell the two apart.
 
-def eval_expr(e, row: Row, agg_values: dict | None = None) -> Value:
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_COMPARE = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _value(x) -> Value:
+    """The Value of a raw value."""
+    if type(x) is int:
+        return Value(ValueType.INTEGER, x)
+    if type(x) is Decimal:
+        return Value(ValueType.DECIMAL, x)
+    return NULL if x is None else x
+
+
+def _fail(message: str):
+    def fail(row):
+        raise EvalError(message)
+    return fail
+
+
+def _const(v: Value):
+    x = v if type(v.raw) is str else v.raw
+    return lambda row: x
+
+
+def compile_expr(e, aggs: dict | None = None):
+    """Closure: row -> the Value of bound ``e``; ``aggs`` values its aggregates."""
     if isinstance(e, ast.BoundCol):
-        return row[e.index]
+        return operator.itemgetter(e.index)
+    f = _raw(e, aggs)
+    return lambda row: _value(f(row))
+
+
+def _raw(e, aggs: dict | None = None):
+    """Closure: row -> the raw value of bound expression ``e``."""
+    if isinstance(e, ast.BoundCol):
+        def col(row, i=e.index):
+            v = row[i]
+            return v if type(v.raw) is str else v.raw
+        return col
     if isinstance(e, ast.Literal):
-        return e.value
-    if isinstance(e, ast.ColumnRef):
-        raise EvalError(f"column reference {e.column!r} not allowed here")
+        return _const(e.value)
     if isinstance(e, ast.UnaryMinus):
-        v = eval_expr(e.operand, row, agg_values)
-        if v.is_null:
-            return NULL
-        if v.kind is ValueType.INTEGER:
-            return Value.integer(-v.raw)
-        if v.kind is ValueType.DECIMAL:
-            return Value.decimal(-v.raw)
-        raise EvalError(f"cannot negate {v.kind.value}")
+        f = _raw(e.operand, aggs)
+        def negate(row):
+            x = f(row)
+            if type(x) is Value:
+                raise EvalError(f"cannot negate {x.kind.value}")
+            if type(x) is int and x == INT64_MIN:
+                raise ValueTypeError(f"not a 64-bit integer: {-x!r}")
+            return None if x is None else -x
+        return negate
     if isinstance(e, ast.BinaryOp):
-        a = eval_expr(e.left, row, agg_values)
-        b = eval_expr(e.right, row, agg_values)
-        return _arith(e.op, a, b)
+        return _binop(e.op, _raw(e.left, aggs), _raw(e.right, aggs))
     if isinstance(e, ast.Aggregate):
-        if agg_values is not None and e in agg_values:
-            return agg_values[e]
-        raise EvalError("aggregate not allowed in a row-level expression")
-    raise EvalError(f"cannot evaluate {e!r}")
+        if aggs is not None and e in aggs:
+            return _const(aggs[e])
+        return _fail("aggregate not allowed in a row-level expression")
+    if isinstance(e, ast.ColumnRef):
+        return _fail(f"column reference {e.column!r} not allowed here")
+    return _fail(f"cannot evaluate {e!r}")
 
 
-_NUMERIC = (ValueType.INTEGER, ValueType.DECIMAL)
-_STRINGY = (ValueType.TEXT, ValueType.DATE)
+def _binop(op: str, left, right):
+    """Arithmetic on raw values: NULL if either is; an int64 from two ints
+    except for ``/``; else a Decimal quantized to 10 fractional digits."""
+    fn, int_op = _OPS[op], op != "/"
+    def binop(row):
+        a, b = left(row), right(row)
+        if a is None or b is None:
+            return None
+        ta, tb = type(a), type(b)
+        if ta is int and tb is int and int_op:
+            x = fn(a, b)
+            if INT64_MIN <= x <= INT64_MAX:
+                return x
+            raise ValueTypeError(f"not a 64-bit integer: {x!r}")
+        if ta is Value or tb is Value:
+            a, b = _value(a).kind.value, _value(b).kind.value
+            raise EvalError(f"arithmetic needs numeric operands, got {a}/{b}")
+        try:
+            r = fn(Decimal(a) if ta is int else a, b)
+        except (DivisionByZero, InvalidOperation):
+            raise EvalError("division by zero") from None
+        return quantize_decimal(r)
+    return binop
 
 
-def _arith(op: str, a: Value, b: Value) -> Value:
-    if a.is_null or b.is_null:
-        return NULL
-    if a.kind not in _NUMERIC or b.kind not in _NUMERIC:
-        raise EvalError(f"arithmetic needs numeric operands, got {a.kind.value}/{b.kind.value}")
-    if a.kind is ValueType.INTEGER and b.kind is ValueType.INTEGER and op != "/":
-        x = {"+": a.raw + b.raw, "-": a.raw - b.raw, "*": a.raw * b.raw}[op]
-        return Value.integer(x)
-    da = Decimal(a.raw) if a.kind is ValueType.INTEGER else a.raw
-    db = Decimal(b.raw) if b.kind is ValueType.INTEGER else b.raw
-    try:
-        if op == "+":
-            r = da + db
-        elif op == "-":
-            r = da - db
-        elif op == "*":
-            r = da * db
-        elif op == "/":
-            r = da / db
-        else:
-            raise EvalError(f"unknown operator {op!r}")
-    except (DivisionByZero, InvalidOperation):
-        raise EvalError("division by zero") from None
-    return Value.decimal(quantize_decimal(r))
-
-
-def compare_values(op: str, a: Value, b: Value) -> bool:
-    """Typed comparison; any NULL operand makes every comparison false."""
-    if a.is_null or b.is_null:
+def _compare(fn, a, b) -> bool:
+    """``fn`` over raw values: false on NULL; numbers meet numbers, TEXT/DATE
+    meets TEXT/DATE, and any other pair raises."""
+    if a is None or b is None:
         return False
-    if a.kind in _NUMERIC and b.kind in _NUMERIC:
-        x, y = a.raw, b.raw
-    elif a.kind in _STRINGY and b.kind in _STRINGY:
-        x, y = a.raw, b.raw
-    else:
-        raise EvalError(f"cannot compare {a.kind.value} with {b.kind.value}")
-    if op == "=":
-        return x == y
-    if op == "<>":
-        return x != y
-    if op == "<":
-        return x < y
-    if op == "<=":
-        return x <= y
-    if op == ">":
-        return x > y
-    if op == ">=":
-        return x >= y
-    raise EvalError(f"unknown comparison {op!r}")
+    text = type(a) is Value
+    if text is not (type(b) is Value):
+        a, b = _value(a).kind.value, _value(b).kind.value
+        raise EvalError(f"cannot compare {a} with {b}")
+    return fn(a.raw, b.raw) if text else fn(a, b)
 
 
-def eval_predicate(p, row: Row) -> bool:
+def compile_predicate(p):
+    """Closure: row -> the truth of bound predicate ``p``."""
     if isinstance(p, ast.Comparison):
-        return compare_values(p.op, eval_expr(p.left, row), eval_expr(p.right, row))
-    if isinstance(p, _Like):
-        v = eval_expr(p.expr, row)
-        if v.is_null:
-            return False
-        if v.kind not in _STRINGY:
-            raise EvalError("LIKE applies to text values")
-        hit = p.regex.fullmatch(v.raw) is not None
-        return not hit if p.negated else hit
-    if isinstance(p, ast.And):
-        return eval_predicate(p.left, row) and eval_predicate(p.right, row)
-    if isinstance(p, ast.Or):
-        return eval_predicate(p.left, row) or eval_predicate(p.right, row)
-    raise EvalError(f"cannot evaluate predicate {p!r}")
+        fn, left, right = _COMPARE[p.op], _raw(p.left), _raw(p.right)
+        return lambda row: _compare(fn, left(row), right(row))
+    if isinstance(p, ast.LikePredicate):
+        f, regex, negated = _raw(p.expr), _like_regex(p.pattern), p.negated
+        def like(row):
+            x = f(row)
+            if x is None:
+                return False
+            if type(x) is not Value:
+                raise EvalError("LIKE applies to text values")
+            return (regex.fullmatch(x.raw) is not None) is not negated
+        return like
+    if isinstance(p, (ast.And, ast.Or)):
+        left, right = compile_predicate(p.left), compile_predicate(p.right)
+        if isinstance(p, ast.And):
+            return lambda row: left(row) and right(row)
+        return lambda row: left(row) or right(row)
+    return _fail(f"cannot evaluate predicate {p!r}")
+
+
+def _all(conjuncts: list):
+    """One closure testing ``conjuncts`` in order, as AND does; None for none."""
+    tests = [compile_predicate(c) for c in conjuncts]
+    return reduce(lambda f, g: lambda row: f(row) and g(row), tests) if tests else None
 
 
 # --- joins -------------------------------------------------------------------
 
-# Hash-key class of a non-NULL value: values compare only within a class.
+# Comparison class of a non-NULL value: values compare only within a class.
 _KEY_CLASS = {ValueType.INTEGER: 0, ValueType.DECIMAL: 0, ValueType.TEXT: 1, ValueType.DATE: 1}
 
 
@@ -552,16 +556,16 @@ def _join(steps: list[_Step]) -> list[Row]:
     for step in steps:
         rows = step.rows
         if step.local:
-            rows = [r for r in rows if all(eval_predicate(c, r) for c in step.local)]
+            rows = list(filter(_all(step.local), rows))
         if not rows:
             return []
         matches = _hash_matches(step, rows) if step.inner_keys else (lambda acc: rows)
-        residual = step.residual
+        residual = _all(step.residual)
         out: list[Row] = []
         for acc in joined:
             wide = [acc + row for row in matches(acc)]
             if residual:
-                wide = [w for w in wide if all(eval_predicate(c, w) for c in residual)]
+                wide = list(filter(residual, wide))
             out.extend(wide)
         if not out:
             return []
@@ -573,34 +577,35 @@ def _hash_matches(step: _Step, rows: list[Row]):
     """Hash ``rows`` on the step's inner keys; return the probe that finds, in
     row order, the rows matching an outer row's keys.
 
-    Keys are (class, raw) pairs, so INTEGER 1 meets DECIMAL 1.00 and TEXT
-    meets DATE as ``=`` does; a NULL key meets nothing. A probe whose key
-    class differs from a build-side key raises the error ``=`` raises."""
+    Keys are (is TEXT/DATE, raw) pairs, so INTEGER 1 meets DECIMAL 1.00 and
+    TEXT meets DATE as ``=`` does; a NULL key meets nothing. A probe whose
+    key class differs from a build-side key raises the error ``=`` raises."""
+    inner, outer = list(map(_raw, step.inner_keys)), list(map(_raw, step.outer_keys))
     table: dict[tuple, list[Row]] = {}
-    classes: list[dict] = [{} for _ in step.inner_keys]  # per key: class -> a value
+    seen: list[dict] = [{} for _ in inner]  # per key: class -> a value
     for row in rows:
         key = []
-        for e, seen in zip(step.inner_keys, classes):
-            v = eval_expr(e, row)
-            if v.is_null:
+        for f, classes in zip(inner, seen):
+            x = f(row)
+            if x is None:
                 break
-            c = _KEY_CLASS[v.kind]
-            seen.setdefault(c, v)
-            key.append((c, v.raw))
+            text = type(x) is Value
+            classes.setdefault(text, x)
+            key.append((text, x.raw if text else x))
         else:
             table.setdefault(tuple(key), []).append(row)
 
     def matches(acc: Row):
         key = []
-        for e, seen, inner_left in zip(step.outer_keys, classes, step.inner_left):
-            v = eval_expr(e, acc)
-            if v.is_null:
+        for f, classes, inner_left in zip(outer, seen, step.inner_left):
+            x = f(acc)
+            if x is None:
                 return ()
-            c = _KEY_CLASS[v.kind]
-            for other_c, other in seen.items():
-                if other_c != c:  # raises EvalError, as comparing the two would
-                    compare_values("=", *((other, v) if inner_left else (v, other)))
-            key.append((c, v.raw))
+            text = type(x) is Value
+            for other_text, other in classes.items():
+                if other_text is not text:  # raises EvalError, as comparing the two would
+                    _compare(operator.eq, *((other, x) if inner_left else (x, other)))
+            key.append((text, x.raw if text else x))
         return table.get(tuple(key), ())
 
     return matches
@@ -667,7 +672,12 @@ class Database:
         for lineno, fields in enumerate(reader, start=2):
             if len(fields) != len(t.d.columns):
                 raise ArityError(f"{table} line {lineno}: expected {len(t.d.columns)} fields")
-            t.insert(csv_row(t.d, fields, null_literal, lineno))
+            try:
+                row = tuple([csv_value(f, col.type, null_literal)
+                             for f, col in zip(fields, t.d.columns)])
+            except ValueTypeError as exc:
+                raise ValueTypeError(f"{d.name} line {lineno}: {exc}") from None
+            t.insert(row)
             n += 1
         self._tables[d.name] = t
         self._csv_sources.pop(d.name, None)
@@ -805,9 +815,9 @@ def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
     """
     aggs = dict.fromkeys(node for e in exprs for node in ast.aggregates(e))
     if aggs:
-        agg_values = {node: eval_aggregate(node, rows) for node in aggs}
+        aggs = {node: _aggregate(node, rows) for node in aggs}
         base = rows[0] if rows else (NULL,) * width
-        return [tuple(eval_expr(e, base, agg_values) for e in exprs)]
+        return [tuple([compile_expr(e, aggs)(base) for e in exprs])]
     if all(isinstance(e, ast.BoundCol) for e in exprs):
         positions = [e.index for e in exprs]
         if positions == list(range(width)):
@@ -817,39 +827,33 @@ def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
             return [(row[i],) for row in rows]
         pick = operator.itemgetter(*positions)
         return [pick(row) for row in rows]
-    return [tuple(eval_expr(e, row) for e in exprs) for row in rows]
+    outs = [compile_expr(e) for e in exprs]
+    return [tuple([f(row) for f in outs]) for row in rows]
 
 
-def eval_aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:
+def _aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:
+    """``agg`` over ``rows``: its argument on every row, then one Value."""
     if agg.is_count_star:
         return Value.integer(len(rows))
-    vals = [eval_expr(agg.arg, r) for r in rows]
-    vals = [v for v in vals if not v.is_null]
+    vals = [x for x in map(_raw(agg.arg), rows) if x is not None]
     if agg.func == "count":
         return Value.integer(len(vals))
     if not vals:
         return NULL
     if agg.func in ("sum", "avg"):
-        if any(v.kind not in _NUMERIC for v in vals):
+        if any(type(x) is Value for x in vals):
             raise EvalError(f"{agg.func} needs numeric input")
-        total = Decimal(0)
-        all_int = True
-        for v in vals:
-            if v.kind is ValueType.INTEGER:
-                total += v.raw
-            else:
-                all_int = False
-                total += v.raw
-        if agg.func == "sum":
-            return Value.integer(int(total)) if all_int else Value.decimal(quantize_decimal(total))
-        return Value.decimal(quantize_decimal(total / len(vals)))
-    # max / min
-    best = vals[0]
-    for v in vals[1:]:
-        op = ">" if agg.func == "max" else "<"
-        if compare_values(op, v, best):
-            best = v
-    return best
+        total = sum(vals, Decimal(0))
+        if agg.func == "avg":
+            return Value.decimal(quantize_decimal(total / len(vals)))
+        if all(type(x) is int for x in vals):
+            return Value.integer(int(total))
+        return Value.decimal(quantize_decimal(total))
+    fn, best = operator.gt if agg.func == "max" else operator.lt, vals[0]
+    for x in vals[1:]:
+        if _compare(fn, x, best):
+            best = x
+    return _value(best)
 
 
 # --- CSV ----------------------------------------------------------------------
@@ -913,17 +917,6 @@ def csv_value(field: tuple[str, bool], col_type: ValueType, null_literal: str) -
     if not quoted and raw == null_literal:
         return NULL
     return parse_typed(raw, col_type)
-
-
-def csv_row(d: TableDef, fields, null_literal: str, lineno: int) -> Row:
-    """The row of table ``d`` that one CSV line's fields stand for, one field
-    per column (``csv_value``). A field that does not parse raises
-    ValueTypeError naming ``d`` and ``lineno``."""
-    try:
-        return tuple([csv_value(f, col.type, null_literal)
-                      for f, col in zip(fields, d.columns)])
-    except ValueTypeError as exc:
-        raise ValueTypeError(f"{d.name} line {lineno}: {exc}") from None
 
 
 def write_csv_row(stream, fields, null_literal: str = ""):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 
-from .errors import BadType, ValueTypeError
+from .errors import BadType, EvalError, ValueTypeError
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -198,5 +198,8 @@ def coerce(v: Value, target: ValueType) -> Value:
 
 
 def quantize_decimal(d: Decimal) -> Decimal:
-    """Round an arithmetic result to 10 fractional digits, half-even."""
-    return d.quantize(_DEC_QUANTUM, rounding=ROUND_HALF_EVEN)
+    """Round to 10 fractional digits, half-even; past 28 digits, EvalError."""
+    try:
+        return d.quantize(_DEC_QUANTUM, rounding=ROUND_HALF_EVEN)
+    except InvalidOperation:
+        raise EvalError("decimal overflow: more than 28 digits with 10 after the point") from None

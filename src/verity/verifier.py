@@ -44,7 +44,7 @@ from .ledger import LedgerInterface, TxDraft, TxKind
 from .parser import parse
 from .rewriter import change_projection, project_results
 from .sqlast import QueryKind, classify
-from .storage import Database, Scope, TableDef, eval_expr
+from .storage import Database, Scope, TableDef, compile_expr
 from .values import NULL, coerce
 
 PHASES = ("parse", "rewrite", "db_exec", "ledger_lookup", "ledger_commit")
@@ -233,13 +233,13 @@ class Verifier:
 
         scope = Scope([(td.name, [(n, i) for i, n in enumerate(td.column_names())])])
         setters = [(idx, td.columns[idx].type,
-                    scalars[i] if i in scalars else scope.bind(a.value))
+                    compile_expr(scalars[i] if i in scalars else scope.bind(a.value)))
                    for i, (idx, a) in enumerate(zip(set_cols, q.assignments))]
         drafts, ops = [], []
         for rid, pk, old in old_rows:
             new = list(old)
             for idx, typ, expr in setters:
-                v = eval_expr(expr, old)
+                v = expr(old)
                 new[idx] = v if v.is_null else coerce(v, typ)
             new = tuple(new)
             drafts.append(TxDraft(TxKind.UPDATE, td.name, principal, row_id=rid,
@@ -269,7 +269,7 @@ class Verifier:
                 )
             src_rows, _, _ = self._select(q.source.query, ctx)
         else:
-            src_rows = [tuple(eval_expr(e, ()) for e in row_exprs)
+            src_rows = [tuple(compile_expr(e)(()) for e in row_exprs)
                         for row_exprs in q.source.rows]
 
         new_rows = []

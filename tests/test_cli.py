@@ -128,6 +128,16 @@ def test_exec_syntax_error_exit_1(workdir, capsys):
     assert run(conf, "exec", "select * from region where x in (1)") == EXIT_ERROR
 
 
+def test_exec_decimal_overflow_is_an_error_not_a_traceback(workdir, capsys):
+    _, conf = workdir
+    run(conf, "init")
+    capsys.readouterr()
+    sql = ("select c_acctbal * 100000000000000000000.5 * 100000000000000000000.5 "
+           "from customer where c_custkey = 1")
+    assert run(conf, "exec", sql) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: decimal overflow")
+
+
 def test_exec_mutation_persists_across_invocations(workdir, capsys):
     _, conf = workdir
     run(conf, "init")

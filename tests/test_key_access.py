@@ -220,11 +220,29 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def count_predicate_calls(monkeypatch) -> list:
+    """``(node, row)`` of every call of a compiled predicate: each closure
+    that ``storage.compile_predicate`` returns records its node per call."""
+    calls = []
+    original = storage.compile_predicate
+
+    def compiling(node):
+        test = original(node)
+
+        def counting(row):
+            calls.append((node, row))
+            return test(row)
+        return counting
+
+    monkeypatch.setattr(storage, "compile_predicate", compiling)
+    return calls
+
+
 def test_point_and_range_selects_evaluate_only_their_rows(monkeypatch):
     # the key bounds pick their rows by bisection; the conjuncts after them
     # are evaluated on those rows alone
     db = full_db()
-    evals = count_calls(monkeypatch, "eval_predicate")
+    evals = count_predicate_calls(monkeypatch)
     assert len(db.exec_select(parse("select * from o where o.k = 7"))) == 1
     assert evals == []
     assert len(db.exec_select(parse("select * from o where o.k = 7 and o.v > 0"))) == 1
@@ -264,7 +282,7 @@ def verified_orders(n: int):
 def test_point_update_evaluates_its_predicate_on_at_most_one_row(monkeypatch):
     db, verifier = verified_orders(200)
     db.exec_select(parse("select * from o"))  # key order built
-    evals = count_calls(monkeypatch, "eval_predicate")
+    evals = count_predicate_calls(monkeypatch)
     summary, _ = verifier.process("update o set v = v + 1 where k = 150")
     assert summary.rows_affected == 1
     assert evals == []  # the key bound picks the row by bisection

@@ -92,6 +92,13 @@ def test_unsupported_in_is_not_a_syntax_error():
     ("select * from t where a > any (select a from u)", "any"),
     ("select distinct a from t", "distinct"),
     ("select a from t order by a", "order"),
+    # predicates are two-valued: NOT over a comparison with NULL would be wrong
+    ("select * from t where not (name = null)", "not"),
+    ("select * from t where a = 1 and not b = 2", "not"),
+    ("select * from t where (not a = 1) or a = 2", "not"),
+    ("delete from t where not a = 2", "not"),
+    ("select * from t where name like null", "like null"),
+    ("update t set a = 1 where name not like null", "like null"),
 ])
 def test_unsupported_features_rejected_explicitly(sql, feature):
     with pytest.raises(UnsupportedFeature) as exc:
