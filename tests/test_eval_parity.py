@@ -191,9 +191,9 @@ ANY_VALUE = st.one_of(st.just(NULL), *_BY_KIND.values())
 COLUMN_TYPES = st.lists(st.sampled_from(list(_BY_KIND)), min_size=WIDTH, max_size=WIDTH)
 
 
-def rows_of(types):
+def rows_of(types, min_size=0):
     cell = [st.one_of(*[_BY_KIND[t]] * 6, st.just(NULL), ANY_VALUE) for t in types]
-    return st.lists(st.tuples(*cell), max_size=6)
+    return st.lists(st.tuples(*cell), min_size=min_size, max_size=6)
 
 
 # columns and literals, and now and then a node that cannot evaluate on a row
@@ -224,7 +224,15 @@ PREDICATES = st.recursive(
                         st.booleans())),
     _predicate_tree, max_leaves=4)
 
+# aggregate arguments lean to numbers, so that sums and extremes get computed
+NUMERIC_EXPRS = st.recursive(
+    st.one_of(*[st.integers(0, WIDTH - 1).map(ast.BoundCol)] * 3,
+              st.one_of(_BY_KIND[ValueType.INTEGER], _BY_KIND[ValueType.DECIMAL]).map(ast.Literal)),
+    _expr_tree, max_leaves=3)
+NUMERIC_TYPES = st.lists(st.sampled_from([ValueType.INTEGER, ValueType.DECIMAL] * 3 + list(_BY_KIND)),
+                         min_size=WIDTH, max_size=WIDTH)
 AGGREGATES = st.one_of(
+    *[st.builds(ast.Aggregate, st.sampled_from(ast.AGGREGATE_FUNCS), NUMERIC_EXPRS)] * 3,
     st.builds(ast.Aggregate, st.sampled_from(ast.AGGREGATE_FUNCS), EXPRS),
     st.just(ast.Aggregate("count", None)))
 AGGREGATE_OUTPUTS = st.one_of(
@@ -284,7 +292,8 @@ def test_predicates_match_the_tree_walker(data, p):
 @settings(max_examples=600, deadline=None)
 @given(data=st.data(), exprs=st.lists(AGGREGATE_OUTPUTS, min_size=1, max_size=3))
 def test_aggregates_match_the_tree_walker(data, exprs):
-    rows = data.draw(COLUMN_TYPES.flatmap(rows_of))
+    rows = data.draw(st.one_of(NUMERIC_TYPES.flatmap(rows_of),
+                               NUMERIC_TYPES.flatmap(lambda types: rows_of(types, 2))))
     assert_same(lambda: oracle_project(exprs, rows, WIDTH),
                 lambda: project_rows(exprs, rows, WIDTH))
 
@@ -296,6 +305,17 @@ def test_an_expression_that_cannot_evaluate_raises_on_its_first_row_only():
     assert project_rows([ast.Aggregate("sum", bad[1])], [], WIDTH) == [(NULL,)]
     with pytest.raises(EvalError, match="arithmetic needs numeric operands, got text/integer"):
         project_rows(bad[1:], [(NULL,) * WIDTH], WIDTH)
+
+
+def test_sum_and_avg_add_in_row_order():
+    # at 28 digits, 1 - 1E+30 rounds to -1E+30: only row order gives 1
+    rows = [(Value.decimal(Decimal(d)),) for d in ("1E+30", "-1E+30", "1")]
+    for agg in (ast.Aggregate("sum", ast.BoundCol(0)), ast.Aggregate("avg", ast.BoundCol(0))):
+        for ordered in (rows, rows[::-1]):
+            got = project_rows([agg], ordered, 1)
+            assert canon(got) == canon(oracle_project([agg], ordered, 1))
+    assert project_rows([ast.Aggregate("sum", ast.BoundCol(0))], rows, 1) == [
+        (Value.decimal(Decimal(1)),)]
 
 
 # --- decimal overflow ------------------------------------------------------------
