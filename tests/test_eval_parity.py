@@ -225,12 +225,13 @@ PREDICATES = st.recursive(
     _predicate_tree, max_leaves=4)
 
 # aggregate arguments lean to numbers, so that sums and extremes get computed
+NUMBERS = st.one_of(_BY_KIND[ValueType.INTEGER], _BY_KIND[ValueType.DECIMAL])
 NUMERIC_EXPRS = st.recursive(
-    st.one_of(*[st.integers(0, WIDTH - 1).map(ast.BoundCol)] * 3,
-              st.one_of(_BY_KIND[ValueType.INTEGER], _BY_KIND[ValueType.DECIMAL]).map(ast.Literal)),
+    st.one_of(*[st.integers(0, WIDTH - 1).map(ast.BoundCol)] * 3, NUMBERS.map(ast.Literal)),
     _expr_tree, max_leaves=3)
-NUMERIC_TYPES = st.lists(st.sampled_from([ValueType.INTEGER, ValueType.DECIMAL] * 3 + list(_BY_KIND)),
-                         min_size=WIDTH, max_size=WIDTH)
+NUMERIC_TYPES = st.lists(
+    st.sampled_from([ValueType.INTEGER, ValueType.DECIMAL] * 3 + list(_BY_KIND)),
+    min_size=WIDTH, max_size=WIDTH)
 AGGREGATES = st.one_of(
     *[st.builds(ast.Aggregate, st.sampled_from(ast.AGGREGATE_FUNCS), NUMERIC_EXPRS)] * 3,
     st.builds(ast.Aggregate, st.sampled_from(ast.AGGREGATE_FUNCS), EXPRS),
