@@ -11,7 +11,10 @@ The world state (each row's fingerprint record, each table's row count) is
 derived, never stored: ``load`` replays every block through the one rule
 ``submit`` checks (``_transition``). A block that does not decode, or that
 the rule refuses, is left unapplied and reported by ``verify_chain``.
-Replay checks hashes and state, not signatures.
+Replay checks hashes and state, not signatures. Of each block the ledger
+keeps only what ``verify_chain`` reads: its bytes, its hash, and the height
+and previous hash it decoded to. Its decoded transactions are dropped once
+the world state has taken them in.
 
 One ``submit`` at a time (externally serialized); reads may interleave
 between submissions.
@@ -25,12 +28,12 @@ by ``verify_chain`` after reload.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import struct
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -121,8 +124,7 @@ class TxKind(Enum):
     ADJUST_ROW_COUNT = "adjust_row_count"
 
 
-@dataclass(frozen=True)
-class TxDraft:
+class TxDraft(NamedTuple):
     kind: TxKind
     table: str
     owner: str
@@ -132,23 +134,20 @@ class TxDraft:
     delta: int | None = None
 
 
-@dataclass(frozen=True)
-class LedgerTx:
+class LedgerTx(NamedTuple):
     draft: TxDraft
     submitter_sig: bytes
     endorsements: tuple  # ((peer_id, sig), ...)
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     height: int
     prev_hash: bytes
     timestamp: int
     txs: tuple  # (LedgerTx, ...)
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     fingerprint: str
     owner: str
     height: int
@@ -167,8 +166,7 @@ class FingerprintRecord(NamedTuple):
     history: tuple         # (HistoryEntry, ...), oldest first
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     ok: bool
     first_bad_height: int | None
     head_height: int
@@ -316,11 +314,12 @@ def _write_frame(f, raw: bytes, h: bytes):
 
 # --- the ledger ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
+    """What ``verify_chain`` reads of a block; no decoded transactions."""
     raw: bytes
     hash: bytes
-    block: Block | None  # None: it did not decode or broke the world-state rule
+    height: int | None  # None (prev_hash too): it did not decode or broke the rule
+    prev_hash: bytes | None
 
 
 class LedgerInterface:
@@ -377,29 +376,38 @@ class SimulatedLedger(LedgerInterface):
             data = f.read()
         i = 0
         idx = 0
-        while i < len(data):
-            if i + 4 > len(data):
-                led._tail_error_at = idx
-                break
-            n = int.from_bytes(data[i:i + 4], "big")
-            if n <= 0 or i + 4 + n + 32 > len(data):
-                led._tail_error_at = idx
-                break
-            raw = data[i + 4:i + 4 + n]
-            stored = data[i + 4 + n:i + 4 + n + 32]
-            # a block that does not decode, or that the world-state rule
-            # refuses, is left unapplied; verify_chain reports it
-            try:
-                blk = decode_block(raw)
-                records, counts = led._transition([tx.draft for tx in blk.txs], blk.height)
-            except LedgerError:
-                blk = None
-            else:
-                led._records.update(records)
-                led._counts.update(counts)
-            led._entries.append(_Entry(raw, stored, blk))
-            i += 4 + n + 32
-            idx += 1
+        # the replay makes no reference cycles, so the cyclic collector
+        # would only rescan the records it builds
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while i < len(data):
+                if i + 4 > len(data):
+                    led._tail_error_at = idx
+                    break
+                n = int.from_bytes(data[i:i + 4], "big")
+                if n <= 0 or i + 4 + n + 32 > len(data):
+                    led._tail_error_at = idx
+                    break
+                raw = data[i + 4:i + 4 + n]
+                stored = data[i + 4 + n:i + 4 + n + 32]
+                # a block that does not decode, or that the world-state rule
+                # refuses, is left unapplied; verify_chain reports it
+                try:
+                    blk = decode_block(raw)
+                    records, counts = led._transition([tx.draft for tx in blk.txs], blk.height)
+                except LedgerError:
+                    entry = _Entry(raw, stored, None, None)
+                else:
+                    led._records.update(records)
+                    led._counts.update(counts)
+                    entry = _Entry(raw, stored, blk.height, blk.prev_hash)
+                led._entries.append(entry)
+                i += 4 + n + 32
+                idx += 1
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         if not led._entries and led._tail_error_at is None:
             raise LedgerCorrupt(f"{path}: empty ledger file")
         return led
@@ -545,7 +553,7 @@ class SimulatedLedger(LedgerInterface):
     def _append_block(self, block: Block):
         raw = block_bytes(block)
         h = block_hash(raw)
-        self._entries.append(_Entry(raw, h, block))
+        self._entries.append(_Entry(raw, h, block.height, block.prev_hash))
         if self.path:
             with open(self.path, "ab") as f:
                 _write_frame(f, raw, h)
@@ -556,8 +564,8 @@ class SimulatedLedger(LedgerInterface):
         first_bad = self._tail_error_at
         prev_hash = GENESIS_PREV
         for i, e in enumerate(self._entries):
-            if (e.block is None or block_hash(e.raw) != e.hash
-                    or e.block.height != i or e.block.prev_hash != prev_hash):
+            if (e.height is None or block_hash(e.raw) != e.hash
+                    or e.height != i or e.prev_hash != prev_hash):
                 first_bad = i
                 break
             prev_hash = e.hash

@@ -55,7 +55,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from decimal import Decimal, DivisionByZero, InvalidOperation
+from decimal import Decimal, DivisionByZero, InvalidOperation, Overflow
 from functools import reduce
 
 from . import sqlast as ast
@@ -73,8 +73,8 @@ from .errors import (
 )
 from .parser import parse_ddl, parse_table_def
 from .sqlast import TableDef
-from .values import (INT64_MAX, INT64_MIN, NULL, Value, ValueType, coerce, parse_typed,
-                     quantize_decimal, render_value)
+from .values import (DECIMAL_OVERFLOW, INT64_MAX, INT64_MIN, NULL, Value, ValueType, coerce,
+                     parse_typed, quantize_decimal, render_value)
 
 Row = tuple  # tuple[Value, ...]
 
@@ -436,6 +436,8 @@ def _binop(op: str, left, right):
             r = fn(Decimal(a) if ta is int else a, b)
         except (DivisionByZero, InvalidOperation):
             raise EvalError("division by zero") from None
+        except Overflow:  # an exponent past the context's Emax
+            raise EvalError(DECIMAL_OVERFLOW) from None
         return quantize_decimal(r)
     return binop
 
@@ -843,7 +845,10 @@ def _aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:
     if agg.func in ("sum", "avg"):
         if any(type(x) is Value for x in vals):
             raise EvalError(f"{agg.func} needs numeric input")
-        total = sum(vals, Decimal(0))
+        try:
+            total = sum(vals, Decimal(0))
+        except Overflow:
+            raise EvalError(DECIMAL_OVERFLOW) from None
         if agg.func == "avg":
             return Value.decimal(quantize_decimal(total / len(vals)))
         if all(type(x) is int for x in vals):

@@ -197,9 +197,12 @@ def coerce(v: Value, target: ValueType) -> Value:
     raise ValueTypeError(f"cannot store {v.kind.value} value in {target.value} column")
 
 
+DECIMAL_OVERFLOW = "decimal overflow: more than 28 digits with 10 after the point"
+
+
 def quantize_decimal(d: Decimal) -> Decimal:
     """Round to 10 fractional digits, half-even; past 28 digits, EvalError."""
     try:
         return d.quantize(_DEC_QUANTUM, ROUND_HALF_EVEN)  # by keyword, twice as slow
     except InvalidOperation:
-        raise EvalError("decimal overflow: more than 28 digits with 10 after the point") from None
+        raise EvalError(DECIMAL_OVERFLOW) from None

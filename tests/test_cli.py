@@ -138,6 +138,25 @@ def test_exec_decimal_overflow_is_an_error_not_a_traceback(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: decimal overflow")
 
 
+@pytest.mark.parametrize("sql", [
+    "select c_acctbal * 10 from customer where c_custkey = 1",
+    "select sum(c_acctbal) from customer",
+])
+def test_exec_decimal_past_the_exponent_limit_is_an_error_not_a_traceback(workdir, capsys, sql):
+    tmp, conf = workdir
+    path = tmp / "fx" / "customer.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    for i in (1, 2):  # c_acctbal of customers 1 and 2
+        fields = lines[i].split(",")
+        fields[5] = "9E+999999"
+        lines[i] = ",".join(fields)
+    path.write_text("".join(lines))
+    assert run(conf, "init") == EXIT_OK
+    capsys.readouterr()
+    assert run(conf, "exec", sql) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: decimal overflow")
+
+
 def test_exec_mutation_persists_across_invocations(workdir, capsys):
     _, conf = workdir
     run(conf, "init")

@@ -13,11 +13,12 @@ Every generated case must give an equal Value under both (same kind, same
 raw type, same text) or raise the same exception type with the same
 message. The one intended difference: a decimal result that cannot keep 10
 fractional digits in 28 significant digits, where the walker raised
-``decimal.InvalidOperation``, now raises EvalError.
+``decimal.InvalidOperation``, or whose exponent passes the context's limit,
+where it raised ``decimal.Overflow``, now raises EvalError.
 """
 
 import io
-from decimal import ROUND_HALF_EVEN, Decimal, DivisionByZero, InvalidOperation
+from decimal import ROUND_HALF_EVEN, Decimal, DivisionByZero, InvalidOperation, Overflow
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,7 +172,7 @@ _DECIMALS = st.one_of(
     st.sampled_from(["0", "0.00", "-0", "1", "0.5", "-2.25", "0.12345678901234567",
                      "1E+20", "123456789012345678", "99999999999999999.99999999995",
                      "1234567890123456789012345678901.5", "-0.00000000005",
-                     "0.00000000015"]).map(Decimal),
+                     "0.00000000015", "9E+999999"]).map(Decimal),
     st.decimals(allow_nan=False, allow_infinity=False, places=2,
                 min_value=-10**6, max_value=10**6),
     st.builds(lambda sign, digits, exp: Decimal((sign, tuple(digits), exp)),
@@ -254,7 +255,7 @@ def canon(x):
 def outcome(fn):
     try:
         return "ok", canon(fn())
-    except InvalidOperation:
+    except (InvalidOperation, Overflow):
         return "overflow", None
     except Exception as exc:
         return type(exc), str(exc)

@@ -143,7 +143,7 @@ def real_blocks() -> list[bytes]:
                 TxDraft(TxKind.ADJUST_ROW_COUNT, "region", "peer-1", delta=-1)], "peer-1")
     led.submit([TxDraft(TxKind.PUT, "régión", "peer-3", row_id=rid[3], fingerprint="ü" * 8)],
                "peer-3")
-    return [block_bytes(e.block) for e in led._entries]
+    return [e.raw for e in led._entries]
 
 
 def test_real_blocks_decode_alike(real_blocks):

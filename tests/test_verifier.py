@@ -10,6 +10,7 @@ from conftest import make_t123, make_verified, rows_to_raw
 from verity.errors import (
     DuplicatePrimaryKey,
     DuplicateRowId,
+    EvalError,
     LedgerError,
     NonScalarSubquery,
     NullPrimaryKey,
@@ -36,6 +37,21 @@ def update_example_db():
     db.load_csv("t1", io.StringIO("id,a,b\n1,10,4567\n2,20,9\n"))
     db.load_csv("t2", io.StringIO("key,a\n1234,777\n5,888\n"))
     return db
+
+
+@pytest.mark.parametrize("sql", [
+    "select d * 10 from c",
+    "select d / 0.1 from c where k = 1",
+    "select sum(d) from c",
+    "select avg(d) from c",
+])
+def test_decimal_past_the_exponent_limit_is_an_eval_error(sql):
+    db = Database()
+    db.create_table("create table c (k integer, d decimal, primary key (k))")
+    db.load_csv("c", io.StringIO("k,d\n1,9E+999999\n2,9E+999999\n"))
+    _, verifier = make_verified(db, peers=1)
+    with pytest.raises(EvalError, match="^decimal overflow"):
+        verifier.process(sql)
 
 
 # --- bootstrap -------------------------------------------------------------------
