@@ -39,21 +39,6 @@ def update_example_db():
     return db
 
 
-@pytest.mark.parametrize("sql", [
-    "select d * 10 from c",
-    "select d / 0.1 from c where k = 1",
-    "select sum(d) from c",
-    "select avg(d) from c",
-])
-def test_decimal_past_the_exponent_limit_is_an_eval_error(sql):
-    db = Database()
-    db.create_table("create table c (k integer, d decimal, primary key (k))")
-    db.load_csv("c", io.StringIO("k,d\n1,9E+999999\n2,9E+999999\n"))
-    _, verifier = make_verified(db, peers=1)
-    with pytest.raises(EvalError, match="^decimal overflow"):
-        verifier.process(sql)
-
-
 # --- bootstrap -------------------------------------------------------------------
 
 def test_bootstrap_counts_and_ledger_state(t123_db):
@@ -255,6 +240,21 @@ def test_released_rows_equal_direct_execution(t123_db):
     sql = "select t1.a, t2.b from t1, t2 where t1.a = t2.a"
     rows, _ = verifier.process(sql)
     assert rows == t123_db.exec_select(parse(sql))
+
+
+@pytest.mark.parametrize("sql", [
+    "select d * 10 from c",
+    "select d / 0.1 from c where k = 1",
+    "select sum(d) from c",
+    "select avg(d) from c",
+])
+def test_decimal_past_the_exponent_limit_is_an_eval_error(sql):
+    db = Database()
+    db.create_table("create table c (k integer, d decimal, primary key (k))")
+    db.load_csv("c", io.StringIO("k,d\n1,9E+999999\n2,9E+999999\n"))
+    _, verifier = make_verified(db, peers=1)
+    with pytest.raises(EvalError, match="^decimal overflow"):
+        verifier.process(sql)
 
 
 # --- verified UPDATE -----------------------------------------------------------------
