@@ -56,15 +56,14 @@ class SessionConfig:
     @classmethod
     def from_file(cls, path: str) -> "SessionConfig":
         kv: dict[str, str] = {}
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise VerityError(f"{path}:{lineno}: expected key = value")
-                k, v = line.split("=", 1)
-                kv[k.strip()] = v.strip()
+        for lineno, line in enumerate(read_text(path).split("\n"), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise VerityError(f"{path}:{lineno}: expected key = value")
+            k, v = line.split("=", 1)
+            kv[k.strip()] = v.strip()
         base = os.path.dirname(os.path.abspath(path))
 
         def _path(p: str) -> str:
@@ -89,6 +88,16 @@ class SessionConfig:
             csv_null=kv.get("csv_null", ""),
             audit_log=_path(kv["audit_log"]) if "audit_log" in kv else None,
         )
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; a VerityError naming the
+    file if it is not UTF-8."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise VerityError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def resolve_config(path_arg: str | None) -> SessionConfig:
@@ -124,8 +133,7 @@ class Session:
 def _open_database(cfg: SessionConfig, warn=True) -> Database:
     """The schema, with each table's CSV registered to load on first use."""
     db = Database()
-    with open(cfg.ddl, encoding="utf-8") as f:
-        db.load_ddl(f.read())
+    db.load_ddl(read_text(cfg.ddl))
     for table in db.catalog.names():
         path = os.path.join(cfg.csv_dir, f"{table}.csv")
         if not os.path.exists(path):
@@ -255,11 +263,7 @@ def _exec_one(session: Session, sql: str) -> int:
 
 def cmd_exec(args) -> int:
     cfg = resolve_config(args.config)
-    if args.file:
-        with open(args.file, encoding="utf-8") as f:
-            sql = f.read()
-    else:
-        sql = args.query
+    sql = read_text(args.file) if args.file else args.query
     if not sql or not sql.strip():
         print("error: empty query", file=sys.stderr)
         return EXIT_ERROR
@@ -443,8 +447,7 @@ def cmd_bench(args) -> int:
         raise VerityError(f"--runs must be at least 1, got {args.runs}")
     cfg = resolve_config(args.config)
     session = open_session(cfg)
-    with open(args.queries, encoding="utf-8") as f:
-        queries = parse_queries_file(f.read())
+    queries = parse_queries_file(read_text(args.queries))
     if not queries:
         print("error: no queries in file", file=sys.stderr)
         return EXIT_ERROR
@@ -540,10 +543,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VerityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (VerityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import os
 import struct
 import time
 from enum import Enum

@@ -186,6 +186,10 @@ class _Parser:
                 expected={"<end of input>"},
             )
 
+    def opt_where(self) -> Predicate | None:
+        """An optional ``WHERE predicate``: the predicate, or None."""
+        return self.parse_predicate() if self.accept_kw("where") else None
+
     def fail(self, message: str, expected=()):
         t = self.peek()
         found = t.value if t.type != EOF else "<end of input>"
@@ -209,10 +213,7 @@ class _Parser:
         projections = self.comma_list(self.parse_projection_item)
         self.expect_kw("from")
         from_items = self.comma_list(self.parse_from_item)
-        where = None
-        if self.accept_kw("where"):
-            where = self.parse_predicate()
-        q = SelectQuery(tuple(projections), tuple(from_items), where)
+        q = SelectQuery(tuple(projections), tuple(from_items), self.opt_where())
         self._check_aliases(q)
         return q
 
@@ -237,7 +238,7 @@ class _Parser:
             except SqlSyntaxError:
                 self.pos = mark
             else:
-                if self.at_kw("as") or (self.peek().type == IDENT and self.peek().value not in _KEYWORDS):
+                if self.at_alias():
                     self.accept_kw("as")
                     alias = self.expect_name("projection alias")
                     self.expect_op(")")
@@ -249,12 +250,16 @@ class _Parser:
         expr = self.parse_expr()
         return ProjectionItem(expr, self._opt_alias())
 
+    def at_alias(self) -> bool:
+        """Whether an alias follows: ``AS``, or a name that is no keyword."""
+        t = self.peek()
+        return t.type == IDENT and (t.value == "as" or t.value not in _KEYWORDS)
+
     def _opt_alias(self) -> str | None:
-        if self.accept_kw("as"):
-            return self.expect_name("alias")
-        if self.peek().type == IDENT and self.peek().value not in _KEYWORDS:
-            return self.expect_name("alias")
-        return None
+        if not self.at_alias():
+            return None
+        self.accept_kw("as")
+        return self.expect_name("alias")
 
     def parse_from_item(self):
         if self.at_op("("):
@@ -268,7 +273,7 @@ class _Parser:
             # parenthesized table reference: `(nation as n1)` or `((select..) as x)`
             inner = self.parse_from_item()
             self.expect_op(")")
-            if self.at_kw("as") or (self.peek().type == IDENT and self.peek().value not in _KEYWORDS):
+            if self.at_alias():
                 alias = self._opt_alias()
                 if isinstance(inner, BaseTable):
                     if inner.alias is not None:
@@ -305,10 +310,7 @@ class _Parser:
         table = self.expect_name("table name")
         self.expect_kw("set")
         assignments = self.comma_list(lambda: self._parse_assignment(table))
-        where = None
-        if self.accept_kw("where"):
-            where = self.parse_predicate()
-        return UpdateQuery(table, tuple(assignments), where)
+        return UpdateQuery(table, tuple(assignments), self.opt_where())
 
     def _parse_assignment(self, table: str) -> Assignment:
         column = self.expect_name("column name")
@@ -329,10 +331,7 @@ class _Parser:
         self.expect_kw("delete")
         self.expect_kw("from")
         table = self.expect_name("table name")
-        where = None
-        if self.accept_kw("where"):
-            where = self.parse_predicate()
-        return DeleteQuery(table, where)
+        return DeleteQuery(table, self.opt_where())
 
     def parse_create_table(self) -> tuple[str, list[ColumnDef], tuple[str, ...]]:
         """``CREATE TABLE name (element, ...)``, each element a column

@@ -54,7 +54,9 @@ class TableExposure:
 class RewrittenSelect:
     wide_query: ast.SelectQuery
     column_map: list[TableExposure]
-    original_projection: list[tuple]  # (bound expr, output name)
+    # the original projection over the wide row, as (bound expr, output name);
+    # in derived position every expr is a BoundCol, the position a parent reads
+    original_projection: list[tuple]
 
     @property
     def output_names(self) -> list[str]:
@@ -63,8 +65,7 @@ class RewrittenSelect:
 
 def change_projection(q: ast.SelectQuery, catalog: Catalog) -> RewrittenSelect:
     """Widen ``q`` bottom-up and map its original projection onto the wide result."""
-    level = _widen(q, catalog, as_derived=False)
-    return RewrittenSelect(level.wide, level.exposures, level.outputs)
+    return _widen(q, catalog, as_derived=False)
 
 
 def project_results(wide_rows: list[Row], rw: RewrittenSelect) -> list[Row]:
@@ -78,18 +79,7 @@ def project_results(wide_rows: list[Row], rw: RewrittenSelect) -> list[Row]:
 
 # --- internals ---------------------------------------------------------------
 
-@dataclass
-class _Level:
-    """One widened SELECT."""
-
-    wide: ast.SelectQuery
-    exposures: list[TableExposure]
-    # the original projection over the wide row, as (bound expr, output name);
-    # in derived position every expr is a BoundCol, the position a parent reads
-    outputs: list[tuple]
-
-
-def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> _Level:
+def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenSelect:
     blocks: list = []      # the Scope blocks of the names the user's query sees
     refs: list = []        # per wide position: the ColumnRef that reads it
     mangled: list = []     # per wide position: its name should it collide
@@ -109,12 +99,12 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> _Level:
             exposures += [
                 TableExposure(e.table, (item.alias,) + e.alias_path,
                               off + e.start, off + e.stop, e.tabledef)
-                for e in child.exposures
+                for e in child.column_map
             ]
-            blocks.append((item.alias, [(n, off + b.index) for b, n in child.outputs]))
-            names = [ast.output_name(p, i) for i, p in enumerate(child.wide.projections)]
+            blocks.append((item.alias, [(n, off + b.index) for b, n in child.original_projection]))
+            names = [ast.output_name(p, i) for i, p in enumerate(child.wide_query.projections)]
             mangled += [f"{item.alias}__{n}" for n in names]
-            from_items.append(ast.DerivedTable(child.wide, item.alias))
+            from_items.append(ast.DerivedTable(child.wide_query, item.alias))
         refs += [ast.ColumnRef(item.binding, n) for n in names]
     scope = Scope(blocks)
 
@@ -150,4 +140,5 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> _Level:
         ast.ProjectionItem(e, f"{n}__x{ei}" if counts[n] > 1 else n)
         for ei, (e, n) in enumerate(extras)
     ]
-    return _Level(ast.SelectQuery(tuple(wide_items), tuple(from_items), where), exposures, outputs)
+    return RewrittenSelect(ast.SelectQuery(tuple(wide_items), tuple(from_items), where),
+                           exposures, outputs)

@@ -659,6 +659,8 @@ class Database:
                 yield from iter_csv(stream)
             except ValueTypeError as exc:  # names its line, not its table
                 raise ValueTypeError(f"{table} {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise ValueTypeError(f"{table}: CSV is not UTF-8 text ({exc.reason})") from None
 
         reader = records()
         try:

@@ -62,20 +62,31 @@ class TamperAlert:
 
 @dataclass
 class VerificationReport:
-    query_kind: QueryKind | None
-    tables_touched: list[str]
-    tuples_checked: int      # distinct row ids verified
-    tuples_seen: int         # raw tuple occurrences before memoization
-    tuples_mutated: int
-    ledger_txs_committed: int
-    elapsed: dict
-    outcome: str  # "verified" | "tampered"
+    """One statement's record. ``Verifier.process`` creates it, its stages
+    fill it in as they run, and it is what ``process`` returns, or what
+    ``TamperDetected.report`` carries."""
+
+    query_hash: str
+    query_kind: QueryKind | None = None
+    tables_touched: list[str] = field(default_factory=list)
+    tuples_seen: int = 0         # raw tuple occurrences before memoization
+    tuples_mutated: int = 0
+    ledger_txs_committed: int = 0
+    elapsed: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    outcome: str = "verified"  # "verified" | "tampered"
     alerts: list = field(default_factory=list)
     columns: list[str] = field(default_factory=list)  # a SELECT's output names
+    # row id -> its verified fingerprint
+    checked: dict[str, str] = field(default_factory=dict, repr=False)
 
     @property
-    def end_to_end(self) -> float:
-        return sum(self.elapsed.values())
+    def tuples_checked(self) -> int:
+        """Distinct row ids verified."""
+        return len(self.checked)
+
+    def touch_table(self, name: str):
+        if name not in self.tables_touched:
+            self.tables_touched.append(name)
 
 
 @dataclass
@@ -100,35 +111,16 @@ class MissingRow:
     table: str
 
 
-class _Ctx:
-    """Per-statement accumulator: timings, verified fingerprints, alerts."""
-
-    def __init__(self, query_text: str):
-        self.kind = None
-        self.elapsed = {p: 0.0 for p in PHASES}
-        self.checked: dict[str, str] = {}  # row id -> its verified fingerprint
-        self.seen = 0
-        self.alerts: list[TamperAlert] = []
-        self.tables: list[str] = []
-        self.mutated = 0
-        self.txs = 0
-        self.query_hash = hashlib.sha256(query_text.encode("utf-8")).hexdigest()
-
-    def touch_table(self, name: str):
-        if name not in self.tables:
-            self.tables.append(name)
-
-
 class _Timer:
-    def __init__(self, ctx: _Ctx, phase: str):
-        self.ctx = ctx
+    def __init__(self, report: VerificationReport, phase: str):
+        self.report = report
         self.phase = phase
 
     def __enter__(self):
         self.t0 = time.perf_counter()
 
     def __exit__(self, *exc):
-        self.ctx.elapsed[self.phase] += time.perf_counter() - self.t0
+        self.report.elapsed[self.phase] += time.perf_counter() - self.t0
 
 
 class Verifier:
@@ -167,46 +159,47 @@ class Verifier:
         """Parse, dispatch, verify. Returns (payload, report); the payload is
         a row list for SELECT and a MutationSummary otherwise. Raises
         TamperDetected (with all alerts) instead of releasing anything."""
-        ctx = _Ctx(sql_text)
-        with _Timer(ctx, "parse"):
+        report = VerificationReport(hashlib.sha256(sql_text.encode("utf-8")).hexdigest())
+        with _Timer(report, "parse"):
             q = parse(sql_text)
-        ctx.kind = kind = classify(q)
+        report.query_kind = kind = classify(q)
         if kind is QueryKind.SELECT:
-            rows, rw, _ = self._select(q, ctx)
-            return rows, self._report(kind, ctx, columns=rw.output_names)
+            rows, rw, _ = self._select(q, report)
+            report.columns = rw.output_names
+            return rows, report
         write = {QueryKind.UPDATE: self._update, QueryKind.INSERT: self._insert,
                  QueryKind.DELETE: self._delete}[kind]
         td = self.db.catalog.get(q.table)
-        ctx.touch_table(td.name)
-        summary = write(q, td, ctx, principal or self.principal)
-        return summary, self._report(kind, ctx)
+        report.touch_table(td.name)
+        return write(q, td, report, principal or self.principal), report
 
     # --- the verified SELECT pipeline ----------------------------------------
 
-    def _select(self, q: ast.SelectQuery, ctx: _Ctx):
+    def _select(self, q: ast.SelectQuery, report: VerificationReport):
         """``(rows, rewrite, row ids)``: the user's result rows, released only
         once every base tuple behind them verified, and, per exposure of
         ``rewrite.column_map``, the row id of each wide row's tuple."""
-        with _Timer(ctx, "rewrite"):
+        with _Timer(report, "rewrite"):
             rw = change_projection(q, self.db.catalog)
-        with _Timer(ctx, "db_exec"):
+        with _Timer(report, "db_exec"):
             wide_rows = self.db.exec_select(rw.wide_query)
-        with _Timer(ctx, "ledger_lookup"):
+        with _Timer(report, "ledger_lookup"):
             row_ids = []
             for exposure in rw.column_map:
-                ctx.touch_table(exposure.table)
-                row_ids.append(self._verify_rows(ctx, exposure.tabledef, wide_rows,
+                report.touch_table(exposure.table)
+                row_ids.append(self._verify_rows(report, exposure.tabledef, wide_rows,
                                                  exposure.start))
-        if ctx.alerts:
-            self._log_alerts(ctx.alerts)
-            raise TamperDetected(ctx.alerts, self._report(ctx.kind, ctx, outcome="tampered"))
-        with _Timer(ctx, "db_exec"):
+        if report.alerts:
+            report.outcome = "tampered"
+            self._log_alerts(report.alerts)
+            raise TamperDetected(report.alerts, report)
+        with _Timer(report, "db_exec"):
             rows = project_results(wide_rows, rw)
         return rows, rw, row_ids
 
     # --- UPDATE, INSERT, DELETE ------------------------------------------------
 
-    def _update(self, q: ast.UpdateQuery, td: TableDef, ctx: _Ctx,
+    def _update(self, q: ast.UpdateQuery, td: TableDef, report: VerificationReport,
                 principal: str) -> MutationSummary:
         set_cols = []  # the column index of each assignment
         for a in q.assignments:
@@ -221,7 +214,7 @@ class Verifier:
         scalars: dict[int, ast.Literal] = {}
         for i, a in enumerate(q.assignments):
             if isinstance(a.value, ast.ScalarSubquery):
-                rows, _, _ = self._select(a.value.query, ctx)
+                rows, _, _ = self._select(a.value.query, report)
                 if len(rows) != 1 or len(rows[0]) != 1:
                     raise NonScalarSubquery(
                         f"SET subquery for {a.column!r} returned "
@@ -229,7 +222,7 @@ class Verifier:
                     )
                 scalars[i] = ast.Literal(rows[0][0])
 
-        old_rows = self._target_rows(td, q.where, ctx)
+        old_rows = self._target_rows(td, q.where, report)
 
         scope = Scope([(td.name, [(n, i) for i, n in enumerate(td.column_names())])])
         setters = [(idx, td.columns[idx].type,
@@ -244,12 +237,12 @@ class Verifier:
             new = tuple(new)
             drafts.append(TxDraft(TxKind.UPDATE, td.name, principal, row_id=rid,
                                   fingerprint=fingerprint(rid, new),
-                                  prev_fingerprint=ctx.checked[rid]))
+                                  prev_fingerprint=report.checked[rid]))
             ops.append((td.name, pk, new))
-        return self._commit_and_apply(ctx, QueryKind.UPDATE, td.name, principal, drafts,
+        return self._commit_and_apply(report, QueryKind.UPDATE, td.name, principal, drafts,
                                       self.db.apply_row_update, ops)
 
-    def _insert(self, q: ast.InsertQuery, td: TableDef, ctx: _Ctx,
+    def _insert(self, q: ast.InsertQuery, td: TableDef, report: VerificationReport,
                 principal: str) -> MutationSummary:
         col_idx = []
         for c in q.columns:
@@ -267,7 +260,7 @@ class Verifier:
                 raise UnsupportedFeature(
                     f"INSERT ... SELECT reading its own target table {td.name!r}"
                 )
-            src_rows, _, _ = self._select(q.source.query, ctx)
+            src_rows, _, _ = self._select(q.source.query, report)
         else:
             src_rows = [tuple(compile_expr(e)(()) for e in row_exprs)
                         for row_exprs in q.source.rows]
@@ -298,31 +291,32 @@ class Verifier:
             drafts.append(TxDraft(TxKind.PUT, td.name, principal, row_id=rid,
                                   fingerprint=fingerprint(rid, values)))
             ops.append((td.name, values))
-        return self._commit_and_apply(ctx, QueryKind.INSERT, td.name, principal, drafts,
+        return self._commit_and_apply(report, QueryKind.INSERT, td.name, principal, drafts,
                                       self.db.apply_row_insert, ops)
 
-    def _delete(self, q: ast.DeleteQuery, td: TableDef, ctx: _Ctx,
+    def _delete(self, q: ast.DeleteQuery, td: TableDef, report: VerificationReport,
                 principal: str) -> MutationSummary:
-        old_rows = self._target_rows(td, q.where, ctx)
+        old_rows = self._target_rows(td, q.where, report)
         drafts = [TxDraft(TxKind.MARK_DELETED, td.name, principal, row_id=rid,
-                          prev_fingerprint=ctx.checked[rid]) for rid, _, _ in old_rows]
+                          prev_fingerprint=report.checked[rid]) for rid, _, _ in old_rows]
         ops = [(td.name, pk) for _, pk, _ in old_rows]
-        return self._commit_and_apply(ctx, QueryKind.DELETE, td.name, principal, drafts,
+        return self._commit_and_apply(report, QueryKind.DELETE, td.name, principal, drafts,
                                       self.db.apply_row_delete, ops)
 
-    def _target_rows(self, td: TableDef, where, ctx: _Ctx) -> list[tuple[str, tuple, tuple]]:
+    def _target_rows(self, td: TableDef, where,
+                     report: VerificationReport) -> list[tuple[str, tuple, tuple]]:
         """``(row id, primary key, row)`` of every row of ``td`` that ``where``
         selects, in key order, each verified by the SELECT pipeline, so its
-        verified fingerprint is ``ctx.checked[row id]``. The row ids are the
+        verified fingerprint is ``report.checked[row id]``. The row ids are the
         ones that check computed: a ``select *`` of one table keeps its wide
         rows, in order."""
         q = ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
                             (ast.BaseTable(td.name, None),), where)
-        rows, _, (rids,) = self._select(q, ctx)
+        rows, _, (rids,) = self._select(q, report)
         return [(rid, td.key(row), row) for rid, row in zip(rids, rows)]
 
-    def _commit_and_apply(self, ctx: _Ctx, kind: QueryKind, table: str, principal: str,
-                          drafts: list, apply, ops: list) -> MutationSummary:
+    def _commit_and_apply(self, report: VerificationReport, kind: QueryKind, table: str,
+                          principal: str, drafts: list, apply, ops: list) -> MutationSummary:
         """The write protocol's one commit: ``drafts``, one per changed row,
         plus the row-count change of an INSERT or DELETE, go to the ledger as
         one block; only then does ``apply(*op)`` run for each op. A ledger
@@ -332,13 +326,13 @@ class Verifier:
             delta = {QueryKind.INSERT: len(ops), QueryKind.DELETE: -len(ops)}.get(kind)
             if delta:
                 drafts.append(TxDraft(TxKind.ADJUST_ROW_COUNT, table, principal, delta=delta))
-            with _Timer(ctx, "ledger_commit"):
+            with _Timer(report, "ledger_commit"):
                 height = self.ledger.submit(drafts, principal).height
-            ctx.txs += len(drafts)
-        with _Timer(ctx, "db_exec"):
+            report.ledger_txs_committed += len(drafts)
+        with _Timer(report, "db_exec"):
             for op in ops:
                 apply(*op)
-        ctx.mutated = len(ops)
+        report.tuples_mutated = len(ops)
         return MutationSummary(kind, table, len(ops), len(drafts), height)
 
     # --- audits ----------------------------------------------------------------
@@ -356,29 +350,30 @@ class Verifier:
     def audit_full(self) -> tuple[list[TamperAlert], list[MissingRow]]:
         """Fingerprint-check every stored tuple, then check every
         ledger-active row id for presence in storage."""
-        ctx = _Ctx("audit:full")
+        report = VerificationReport(hashlib.sha256(b"audit:full").hexdigest())
         missing: list[MissingRow] = []
         for table in self.db.catalog.names():
-            self._verify_rows(ctx, self.db.catalog.get(table), list(self.db.rows_of(table)))
+            self._verify_rows(report, self.db.catalog.get(table), list(self.db.rows_of(table)))
             missing += [MissingRow(rec.row_id, table) for rec in self.ledger.scan_active(table)
-                        if rec.row_id not in ctx.checked]
-        if ctx.alerts:
-            self._log_alerts(ctx.alerts)
-        return ctx.alerts, missing
+                        if rec.row_id not in report.checked]
+        if report.alerts:
+            self._log_alerts(report.alerts)
+        return report.alerts, missing
 
     # --- helpers ----------------------------------------------------------------
 
-    def _verify_rows(self, ctx: _Ctx, td: TableDef, rows: list, start: int = 0) -> list[str]:
+    def _verify_rows(self, report: VerificationReport, td: TableDef, rows: list,
+                     start: int = 0) -> list[str]:
         """The one tuple check; returns the row id of each of ``rows``, in
         order. Each of ``rows`` holds a row of table ``td`` at
         ``[start, start + width)``; each distinct row id among them is
-        fingerprinted once per statement (``ctx.checked`` keeps its
+        fingerprinted once per statement (``report.checked`` keeps its
         fingerprint) and looked up in the ledger. A fingerprint the ledger
         does not hold as that row's active one adds an alert naming what the
         ledger expected: "ABSENT", "DELETED" or its fingerprint."""
         stop = start + len(td.columns)
-        checked = ctx.checked
-        ctx.seen += len(rows)
+        checked = report.checked
+        report.tuples_seen += len(rows)
         rids = []
         for wide in rows:
             row = wide[start:stop]
@@ -396,24 +391,9 @@ class Verifier:
                 expected = rec.fingerprint
             else:
                 continue
-            ctx.alerts.append(TamperAlert(rid, td.name, expected, fp,
-                                          ctx.query_hash, self.clock()))
+            report.alerts.append(TamperAlert(rid, td.name, expected, fp,
+                                             report.query_hash, self.clock()))
         return rids
-
-    def _report(self, kind, ctx: _Ctx, outcome: str = "verified",
-                columns: list[str] | None = None) -> VerificationReport:
-        return VerificationReport(
-            query_kind=kind,
-            tables_touched=list(ctx.tables),
-            tuples_checked=len(ctx.checked),
-            tuples_seen=ctx.seen,
-            tuples_mutated=ctx.mutated,
-            ledger_txs_committed=ctx.txs,
-            elapsed=dict(ctx.elapsed),
-            outcome=outcome,
-            alerts=list(ctx.alerts),
-            columns=columns or [],
-        )
 
     def _log_alerts(self, alerts):
         if not self.audit_log:

@@ -128,6 +128,42 @@ def test_exec_syntax_error_exit_1(workdir, capsys):
     assert run(conf, "exec", "select * from region where x in (1)") == EXIT_ERROR
 
 
+def test_config_that_is_a_directory_exits_1_naming_it(tmp_path, capsys):
+    assert run(str(tmp_path), "exec", "select * from region") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_exec_file_that_is_a_directory_exits_1_naming_it(workdir, capsys):
+    tmp, conf = workdir
+    run(conf, "init")
+    capsys.readouterr()
+    assert run(conf, "exec", "--file", str(tmp)) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp) in err
+
+
+def test_config_that_is_not_utf8_exits_1_naming_it(workdir, capsys):
+    _, conf = workdir
+    with open(conf, "ab") as f:
+        f.write(b"principal = \xff\xfe\n")
+    assert run(conf, "exec", "select * from region") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and conf in err
+
+
+def test_table_csv_that_is_not_utf8_exits_1_naming_the_table(workdir, capsys):
+    tmp, conf = workdir
+    run(conf, "init")
+    (tmp / "fx" / "region.csv").write_bytes(b"r_regionkey,r_name,r_comment\n0,\xff,x\n")
+    capsys.readouterr()
+    for _ in range(2):  # the table stays unloaded, so each touch fails alike
+        assert run(conf, "exec", "select * from region") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: region") and "UTF-8" in err
+    assert run(conf, "exec", "select count(*) from nation") == EXIT_OK
+
+
 def test_exec_decimal_overflow_is_an_error_not_a_traceback(workdir, capsys):
     _, conf = workdir
     run(conf, "init")

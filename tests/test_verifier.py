@@ -690,3 +690,45 @@ def test_raw_vs_distinct_tuple_counts_on_duplicating_join():
     assert len(rows) == 4                 # 2 x 2 join
     assert report.tuples_seen == 8        # 4 rows x 2 exposures
     assert report.tuples_checked == 4     # 2 distinct per table
+
+
+# --- the statement's report, on every path -------------------------------------------
+
+def test_select_report_names_phases_columns_and_tables_in_order(t123_db):
+    _, verifier = make_verified(t123_db)
+    _, report = verifier.process("select t2.s, t1.x from t2, t1 where t1.a = t2.a")
+    assert list(report.elapsed) == list(verity.verifier.PHASES)
+    assert report.query_kind is QueryKind.SELECT
+    assert report.columns == ["s", "x"]
+    assert report.tables_touched == ["t2", "t1"]
+    assert (report.tuples_checked, report.tuples_seen) == (2, 2)
+    assert (report.tuples_mutated, report.ledger_txs_committed) == (0, 0)
+
+
+def test_insert_report_counts_each_put_and_the_row_count_tx(t123_db):
+    _, verifier = make_verified(t123_db)
+    _, report = verifier.process("insert into t1 (x, y, a) values (2, 0, 7), (3, 0, 7)")
+    assert list(report.elapsed) == list(verity.verifier.PHASES)
+    assert report.ledger_txs_committed == 3  # two PUTs, one row-count tx
+    assert report.tuples_mutated == 2
+    assert report.tuples_checked == 0
+    assert report.columns == []
+    assert report.tables_touched == ["t1"]
+    assert report.outcome == "verified"
+
+
+def test_tamper_in_an_update_subquery_reports_what_was_checked_when_raised():
+    db = update_example_db()
+    ledger, verifier = make_verified(db)
+    db.raw_mutate("t2", (Value.integer(1234),), "a", Value.integer(0))
+    with pytest.raises(TamperDetected) as exc:
+        verifier.process("update t1 set a = (select max(a) from t2) where b = 4567")
+    report = exc.value.report
+    assert report.outcome == "tampered"
+    assert report.alerts == exc.value.alerts
+    assert [a.table for a in report.alerts] == ["t2"]
+    assert report.tuples_checked == 2  # both t2 rows; no t1 row was reached
+    assert report.tables_touched == ["t1", "t2"]
+    assert report.query_kind is QueryKind.UPDATE
+    assert (report.tuples_mutated, report.ledger_txs_committed) == (0, 0)
+    assert report.elapsed["ledger_commit"] == 0.0
