@@ -189,6 +189,7 @@ def print_report(report, output: str):
             "outcome": report.outcome,
             "tables": report.tables_touched,
             "tuples_checked": report.tuples_checked,
+            "tuples_fingerprinted": report.tuples_fingerprinted,
             "tuples_mutated": report.tuples_mutated,
             "ledger_txs": report.ledger_txs_committed,
             "elapsed": report.elapsed,
@@ -197,7 +198,8 @@ def print_report(report, output: str):
     else:
         phases = ", ".join(f"{k}={v * 1000:.1f}ms" for k, v in report.elapsed.items())
         print(
-            f"-- {report.outcome}: {report.tuples_checked} tuple(s) checked, "
+            f"-- {report.outcome}: {report.tuples_checked} tuple(s) checked "
+            f"({report.tuples_fingerprinted} fingerprinted), "
             f"{report.tuples_mutated} mutated, {report.ledger_txs_committed} ledger tx(s); "
             f"{phases}",
             file=sys.stderr,

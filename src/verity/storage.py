@@ -115,7 +115,17 @@ class _Table:
     the same rows in key order. A mutation keeps that order by bisecting on
     its row's key, so it costs O(log n) comparisons plus a list move, never
     a re-sort. Rows whose keys sort equal (only possible when one key column
-    holds values of two types) keep the order in which they were stored."""
+    holds values of two types) keep the order in which they were stored.
+
+    A stored row is an immutable tuple of immutable values, and every write
+    (``insert``, ``replace``, so ``raw_mutate`` too, and ``load_csv``)
+    stores a new tuple object. Two caches rely on that, both keyed by
+    ``id(row)`` and holding the row itself, so the id cannot be reused while
+    the entry exists: ``csv_lines`` (``Database.dump_csv``) and
+    ``verified``, the row id and fingerprint the ledger last confirmed for
+    the row (filled by the verifier's tuple check; ``replace`` and
+    ``_remove`` drop the entry of the row they drop). A copy starts with
+    both empty."""
 
     def __init__(self, d: TableDef):
         self.d = d
@@ -123,10 +133,11 @@ class _Table:
         self._order: list[Row] | None = None   # the rows, in key order
         self._keys: list[tuple] | None = None  # their sort keys, aligned
         # Database.dump_csv's cache: id(row) -> (row, line), rendered with
-        # csv_null. An entry holds its row, so the id cannot be reused
-        # while the entry exists.
+        # csv_null
         self.csv_lines: dict[int, tuple[Row, str]] = {}
         self.csv_null: str | None = None
+        # id(row) -> (row, row id, fingerprint) the ledger last confirmed
+        self.verified: dict[int, tuple[Row, str, str]] = {}
 
     def copy(self) -> "_Table":
         """Independent copy sharing the (immutable) row objects."""
@@ -201,6 +212,7 @@ class _Table:
             self._add(new_pk, row)
             return
         self.rows[pk] = row
+        self.verified.pop(id(old), None)
         if self._order is not None:
             self._order[self._position(pk, old)] = row
 
@@ -218,6 +230,7 @@ class _Table:
 
     def _remove(self, pk: tuple):
         row = self.rows.pop(pk)
+        self.verified.pop(id(row), None)
         if self._order is not None:
             i = self._position(pk, row)
             del self._keys[i]
@@ -732,6 +745,13 @@ class Database:
 
     def has_row(self, table: str, pk: tuple) -> bool:
         return tuple(pk) in self._table(table).rows
+
+    def verified_rows(self, table: str) -> tuple[dict[tuple, Row], dict[int, tuple]]:
+        """``(rows by primary key, verified)`` of ``table``: the stored rows,
+        and its memo of what the ledger last confirmed for them (see
+        ``_Table``), which the verifier reads and fills."""
+        t = self._table(table)
+        return t.rows, t.verified
 
     def exec_select(self, q: ast.SelectQuery) -> list[Row]:
         return self._select(q)[1]

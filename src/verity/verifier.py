@@ -10,11 +10,18 @@ strictly before storage is touched, so a ledger rejection leaves the database
 unchanged. A row's previous fingerprint is the one its SELECT just verified.
 
 Detection is access-triggered: a tuple tampered out-of-band fails its
-fingerprint check the first time any verified query touches it. Every
-check, a SELECT's and the full audit's, runs through ``_verify_rows``. The two
-audits catch what access alone cannot: count mismatches from illegitimate
-deletes, and (full scan) unknown fingerprints plus ledger-active rows that
-vanished from storage.
+fingerprint check the first time any verified query touches it, and every
+time after. Every check, a SELECT's and the full audit's, runs through
+``_verify_rows``. The two audits catch what access alone cannot: count
+mismatches from illegitimate deletes, and (full scan) unknown fingerprints
+plus ledger-active rows that vanished from storage.
+
+A check looks every tuple up in the ledger, but it computes a tuple's row
+id and fingerprint only when the stored row behind it is not in its table's
+``verified`` memo: the pair the ledger last confirmed for that very row
+object. A stored row is immutable and any write, tampering included, stores
+a new tuple object with no entry, so reuse returns exactly what hashing the
+row again would, and the ledger lookup still decides.
 
 Callers must not run two verified operations concurrently: the pipeline is
 an externally-serialized facade, which is also what closes the
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -70,6 +78,7 @@ class VerificationReport:
     query_kind: QueryKind | None = None
     tables_touched: list[str] = field(default_factory=list)
     tuples_seen: int = 0         # raw tuple occurrences before memoization
+    tuples_fingerprinted: int = 0  # of those checked, the ones hashed, not reused
     tuples_mutated: int = 0
     ledger_txs_committed: int = 0
     elapsed: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
@@ -367,21 +376,42 @@ class Verifier:
         """The one tuple check; returns the row id of each of ``rows``, in
         order. Each of ``rows`` holds a row of table ``td`` at
         ``[start, start + width)``; each distinct row id among them is
-        fingerprinted once per statement (``report.checked`` keeps its
-        fingerprint) and looked up in the ledger. A fingerprint the ledger
-        does not hold as that row's active one adds an alert naming what the
-        ledger expected: "ABSENT", "DELETED" or its fingerprint."""
+        checked once per statement (``report.checked`` keeps its
+        fingerprint) by a ledger lookup. A fingerprint the ledger does not
+        hold as that row's active one adds an alert naming what the ledger
+        expected: "ABSENT", "DELETED" or its fingerprint.
+
+        The row id and fingerprint come from the table's ``verified`` memo
+        when the slice is a stored row with an entry, or (a join's slice)
+        holds the very value objects of one; otherwise they are computed,
+        and the entry is stored once the ledger confirms the fingerprint as
+        the row's active one."""
         stop = start + len(td.columns)
         checked = report.checked
+        stored_rows, verified = self.db.verified_rows(td.name)
         report.tuples_seen += len(rows)
         rids = []
         for wide in rows:
             row = wide[start:stop]
-            rid = row_id(td.key(row), td.name)
+            entry = verified.get(id(row))  # an entry holds its row: this one
+            if entry is None:
+                pk = td.key(row)
+                stored = stored_rows.get(pk)
+                if stored is not None and all(map(operator.is_, stored, row)):
+                    entry = verified.get(id(stored))
+                else:
+                    stored = None
+            if entry is None:
+                rid = row_id(pk, td.name)
+            else:
+                _, rid, fp = entry
             rids.append(rid)
             if rid in checked:
                 continue
-            fp = checked[rid] = fingerprint(rid, row)
+            if entry is None:
+                fp = fingerprint(rid, row)
+                report.tuples_fingerprinted += 1
+            checked[rid] = fp
             rec = self.ledger.get_current(rid)
             if rec is None:
                 expected = "ABSENT"
@@ -390,6 +420,8 @@ class Verifier:
             elif rec.fingerprint != fp:
                 expected = rec.fingerprint
             else:
+                if entry is None and stored is not None:
+                    verified[id(stored)] = (stored, rec.row_id, rec.fingerprint)
                 continue
             report.alerts.append(TamperAlert(rid, td.name, expected, fp,
                                              report.query_hash, self.clock()))

@@ -1,6 +1,7 @@
 """Benchmark harness: record shapes, tuple accounting, repeatability, fits."""
 
 
+import verity.bench
 from conftest import make_verified
 from verity.bench import (
     effective_tuples,
@@ -124,3 +125,25 @@ def test_timed_runs_keep_the_callers_gc_setting(t123_db):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_every_timed_run_starts_without_memoised_rows(t123_db, monkeypatch):
+    """Each run verifies fresh clones, so it fingerprints every tuple it
+    checks even when the session it clones has verified them already."""
+    ledger, verifier = make_verified(t123_db)
+    queries = [("a", "select * from t1"), ("b", "select * from t1, t2 where t1.a = t2.a"),
+               ("u", "update t3 set d = 1 where c = 4")]
+    for _, sql in queries[:2]:
+        verifier.process(sql)
+    assert verifier.process(queries[1][1])[1].tuples_fingerprinted == 0
+    reports = []
+    timed_run = verity.bench._timed_run
+
+    def recorded(*args):
+        dt, report = timed_run(*args)
+        reports.append(report)
+        return dt, report
+    monkeypatch.setattr(verity.bench, "_timed_run", recorded)
+    run_bench(t123_db, ledger, queries, runs=2)
+    assert len(reports) == 9
+    assert all(r.tuples_fingerprinted == r.tuples_checked > 0 for r in reports)

@@ -394,6 +394,28 @@ def test_repl_basic_flow(workdir, capsys, monkeypatch):
     assert "all tables match" in out
 
 
+@pytest.mark.parametrize("output", ["table", "json-lines"])
+def test_repl_reports_the_tuples_a_repeated_select_fingerprints(workdir, capsys, monkeypatch,
+                                                                output):
+    _, conf = workdir
+    with open(conf, "a") as f:
+        f.write(f"output = {output}\n")
+    run(conf, "init")
+    inputs = iter(["select * from region", "select * from region", ".quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(inputs))
+    capsys.readouterr()
+    assert run(conf, "repl") == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    if output == "json-lines":
+        blobs = [json.loads(line) for line in lines]
+        assert [(b["tuples_checked"], b["tuples_fingerprinted"]) for b in blobs] == [(5, 5),
+                                                                                     (5, 0)]
+    else:
+        assert [line.split(", ")[0] for line in lines] == [
+            "-- verified: 5 tuple(s) checked (5 fingerprinted)",
+            "-- verified: 5 tuple(s) checked (0 fingerprinted)"]
+
+
 @pytest.mark.parametrize("assignment,stored,line", [
     ("s=NULL", "NULL", "1,7,NULL"),        # unquoted null literal: NULL
     ("n=NULL", "NULL", "1,NULL,a"),        # NULL in an INTEGER column, no error

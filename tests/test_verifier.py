@@ -4,6 +4,7 @@ import hashlib
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import verity.verifier
 from conftest import make_t123, make_verified, rows_to_raw
@@ -19,7 +20,7 @@ from verity.errors import (
     UnsupportedFeature,
 )
 from verity.fingerprint import row_id
-from verity.ledger import SimulatedLedger, generate_peers
+from verity.ledger import SimulatedLedger, TxDraft, TxKind, generate_peers
 from verity.parser import parse
 from verity.sqlast import QueryKind
 from verity.storage import Database
@@ -732,3 +733,178 @@ def test_tamper_in_an_update_subquery_reports_what_was_checked_when_raised():
     assert report.query_kind is QueryKind.UPDATE
     assert (report.tuples_mutated, report.ledger_txs_committed) == (0, 0)
     assert report.elapsed["ledger_commit"] == 0.0
+
+
+# --- the verified-row memo -------------------------------------------------------------
+
+def memo_db():
+    db = Database()
+    db.load_ddl("create table c (k integer, name text, primary key (k));"
+                "create table o (k integer, ck integer, v integer, primary key (k))")
+    db.load_csv("c", io.StringIO("k,name\n1,ann\n2,bob\n3,cy\n"))
+    db.load_csv("o", io.StringIO("k,ck,v\n10,1,5\n11,1,6\n12,2,7\n13,3,8\n"))
+    return db
+
+
+def count_hashing(monkeypatch) -> dict:
+    """Count the verifier's calls of ``fingerprint`` and ``row_id``."""
+    calls = {"fingerprint": 0, "row_id": 0}
+    for name in calls:
+        original = getattr(verity.verifier, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(verity.verifier, name, counted)
+    return calls
+
+
+MEMO_QUERIES = [
+    "select * from o",
+    "select o.v, c.name from o, c where o.ck = c.k",
+    "select r.name from (select k, name from c where k > 1) as r",
+]
+
+
+@pytest.mark.parametrize("sql", MEMO_QUERIES)
+def test_a_repeated_select_reuses_the_verified_rows(monkeypatch, sql):
+    db = memo_db()
+    _, verifier = make_verified(db)
+    calls = count_hashing(monkeypatch)
+    first_rows, first = verifier.process(sql)
+    assert first.tuples_fingerprinted == first.tuples_checked > 0
+    assert calls["fingerprint"] == first.tuples_checked
+    calls.update(fingerprint=0, row_id=0)
+    rows, report = verifier.process(sql)
+    assert calls == {"fingerprint": 0, "row_id": 0}
+    assert report.tuples_fingerprinted == 0
+    assert rows == first_rows
+    assert report.checked == first.checked
+    assert (report.tuples_checked, report.tuples_seen) == (first.tuples_checked,
+                                                           first.tuples_seen)
+
+
+@pytest.mark.parametrize("sql", MEMO_QUERIES[:2])
+def test_a_warm_verifier_alerts_on_a_raw_mutate_as_a_fresh_one_does(sql):
+    db = memo_db()
+    ledger, verifier = make_verified(db)
+    clean_rows, _ = verifier.process(sql)
+    db.raw_mutate("o", (Value.integer(12),), "v", Value.integer(70))
+    fresh = Verifier(db.clone(), ledger.clone_in_memory(), "peer-1",
+                     clock=lambda: 1_700_000_000)
+    with pytest.raises(TamperDetected) as expected:
+        fresh.process(sql)
+    for _ in range(2):  # a tampered row is never memoised: it alerts every time
+        with pytest.raises(TamperDetected) as warm:
+            verifier.process(sql)
+        assert warm.value.alerts == expected.value.alerts
+        assert [(a.table, a.expected != a.computed) for a in warm.value.alerts] == [("o", True)]
+    db.raw_mutate("o", (Value.integer(12),), "v", Value.integer(7))
+    rows, report = verifier.process(sql)
+    assert rows == clean_rows
+    assert report.tuples_fingerprinted == 1  # only the restored row is new
+    assert verifier.audit_full() == ([], [])
+
+
+def test_a_memoised_row_still_alerts_when_the_ledger_changes():
+    """Reuse covers the row id and fingerprint only: the ledger is asked
+    about every tuple on every statement."""
+    db = memo_db()
+    ledger, verifier = make_verified(db)
+    verifier.process("select * from c")
+    rid = row_id((Value.integer(2),), "c")
+    rec = ledger.get_current(rid)
+    ledger.submit([TxDraft(TxKind.MARK_DELETED, "c", "peer-1", row_id=rid,
+                           prev_fingerprint=rec.fingerprint)], "peer-1")
+    with pytest.raises(TamperDetected) as exc:
+        verifier.process("select * from c")
+    assert [(a.row_id, a.expected, a.computed) for a in exc.value.alerts] == [
+        (rid, "DELETED", rec.fingerprint)]
+    assert exc.value.report.tuples_fingerprinted == 0
+
+
+def test_the_memo_holds_only_stored_rows_and_a_clone_starts_without_it():
+    db = memo_db()
+    _, verifier = make_verified(db)
+    verifier.process("select * from o")
+    stored, verified = db.verified_rows("o")
+    assert len(verified) == len(stored) == 4
+    assert all(verified[id(row)][0] is row for row in stored.values())
+    assert db.clone().verified_rows("o")[1] == {}
+    verifier.process("update o set v = 0 where k = 10")  # stores a new, unchecked row
+    verifier.process("delete from o where k = 11")
+    assert len(stored) == 3
+    assert set(verified) == {id(stored[(Value.integer(k),)]) for k in (12, 13)}
+
+
+# One small table, one long-lived verifier against a fresh verifier (a clone
+# of storage and ledger, so an empty memo) for every step.
+MEMO_SELECTS = [
+    "select * from t",
+    "select v, s from t where k < 3",
+    "select * from t where k = 2",
+    "select a.k, b.v from (t as a), (t as b) where a.k = b.k",
+    "select r.v from (select k, v from t where k >= 2) as r",
+    "select sum(v) from t",
+]
+_KEY = st.integers(0, 6)
+MEMO_STEPS = st.one_of(
+    st.tuples(st.just("select"), st.sampled_from(MEMO_SELECTS)),
+    st.tuples(st.just("update"), _KEY, st.integers(-3, 3), st.booleans()),
+    st.tuples(st.just("insert"), _KEY),
+    st.tuples(st.just("delete"), _KEY),
+    st.tuples(st.just("raw_mutate"), _KEY, st.integers(-3, 3)),
+    st.tuples(st.just("forge"), _KEY, st.booleans()),
+    st.tuples(st.just("audit_full")),
+)
+
+
+def memo_step(verifier: Verifier, step):
+    """Run one step; return what it released or raised, comparable with ==."""
+    db, ledger = verifier.db, verifier.ledger
+    kind, *args = step
+    if kind == "raw_mutate" or kind == "forge":
+        pk = (Value.integer(args[0]),)
+        if not db.has_row("t", pk):
+            return None
+        if kind == "raw_mutate":
+            db.raw_mutate("t", pk, "v", Value.integer(args[1]))
+            return None
+        rid = row_id(pk, "t")
+        rec = ledger.get_current(rid)
+        if rec is None or rec.status != "active":
+            return None
+        draft = (TxDraft(TxKind.MARK_DELETED, "t", "peer-1", row_id=rid,
+                         prev_fingerprint=rec.fingerprint) if args[1] else
+                 TxDraft(TxKind.UPDATE, "t", "peer-1", row_id=rid, fingerprint="0" * 64,
+                         prev_fingerprint=rec.fingerprint))
+        return ledger.submit([draft], "peer-1").height
+    if kind == "audit_full":
+        return verifier.audit_full()
+    sql = {
+        "select": lambda sql: sql,
+        "update": lambda k, v, many: f"update t set v = v + {v} where k {'>=' if many else '='} {k}",
+        "insert": lambda k: f"insert into t (k, v, s) values ({k}, {k}, 'n{k}')",
+        "delete": lambda k: f"delete from t where k = {k}",
+    }[kind](*args)
+    try:
+        payload, report = verifier.process(sql)
+    except TamperDetected as exc:
+        return ("tampered", exc.alerts, exc.report.checked, exc.report.tuples_seen)
+    except (DuplicatePrimaryKey, LedgerError) as exc:
+        return (type(exc).__name__, str(exc))
+    return (payload, report.checked, report.tuples_seen, report.tuples_mutated,
+            report.ledger_txs_committed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(MEMO_STEPS, min_size=1, max_size=16))
+def test_a_long_lived_verifier_matches_a_fresh_one_at_every_step(steps):
+    db = Database()
+    db.create_table("create table t (k integer, v integer, s text, primary key (k))")
+    db.load_csv("t", io.StringIO("k,v,s\n" + "".join(f"{k},{k},s{k}\n" for k in range(5))))
+    ledger, verifier = make_verified(db)
+    for step in steps:
+        fresh = Verifier(db.clone(), ledger.clone_in_memory(), "peer-1",
+                         clock=lambda: 1_700_000_000)
+        assert memo_step(verifier, step) == memo_step(fresh, step), step
