@@ -127,12 +127,12 @@ class Session:
             return
         path = os.path.join(self.cfg.csv_dir, f"{table}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            self.db.dump_csv(table, f, self.cfg.csv_null)
+            self.db.dump_csv(table, f)
 
 
 def _open_database(cfg: SessionConfig, warn=True) -> Database:
     """The schema, with each table's CSV registered to load on first use."""
-    db = Database()
+    db = Database(cfg.csv_null)
     db.load_ddl(read_text(cfg.ddl))
     for table in db.catalog.names():
         path = os.path.join(cfg.csv_dir, f"{table}.csv")
@@ -141,7 +141,7 @@ def _open_database(cfg: SessionConfig, warn=True) -> Database:
                 print(f"warning: no CSV for table {table!r}; starting empty",
                       file=sys.stderr)
             continue
-        db.register_csv(table, path, cfg.csv_null)
+        db.register_csv(table, path)
     return db
 
 
@@ -385,16 +385,16 @@ def cmd_audit(args) -> int:
     return _audit(session, args.kind)
 
 
-def _csv_record(text: str, td: TableDef, columns, null_literal: str) -> tuple | None:
+def _csv_record(text: str, db: Database, td: TableDef, columns) -> tuple | None:
     """``text`` read as one CSV record of one field per column of ``td`` in
-    ``columns``, each field read by ``csv_value`` as the CSV loader reads it;
-    empty text is one empty field. None when ``text`` holds another number
-    of records or fields."""
-    records = list(iter_csv(io.StringIO(text))) or [[("", False)]]
+    ``columns``, each field read as ``db`` reads its CSV files; empty text
+    is one empty field, as an empty line is. None when ``text`` holds
+    another number of records or fields."""
+    records = list(iter_csv(io.StringIO(text or "\n"), db.null_literal))
     if len(records) != 1 or len(records[0]) != len(columns):
         return None
     try:
-        return tuple(csv_value(f, td.columns[td.col_index(c)].type, null_literal)
+        return tuple(csv_value(f, td.columns[td.col_index(c)].type)
                      for f, c in zip(records[0], columns))
     except ValueTypeError as exc:
         raise ValueTypeError(f"{td.name} line 1: {exc}") from None
@@ -407,7 +407,7 @@ def cmd_tamper(args) -> int:
     td = db.catalog.get(args.table)
 
     if args.insert is not None:
-        row = _csv_record(args.insert, td, td.column_names(), cfg.csv_null)
+        row = _csv_record(args.insert, db, td, td.column_names())
         if row is None:
             print(f"error: {td.name} needs {len(td.columns)} values", file=sys.stderr)
             return EXIT_ERROR
@@ -417,7 +417,7 @@ def cmd_tamper(args) -> int:
         if args.pk is None:
             print("error: --pk required", file=sys.stderr)
             return EXIT_ERROR
-        pk = _csv_record(args.pk, td, td.primary_key, cfg.csv_null)
+        pk = _csv_record(args.pk, db, td, td.primary_key)
         if pk is None:
             print(f"error: {td.name} key has {len(td.primary_key)} column(s)",
                   file=sys.stderr)
@@ -428,7 +428,7 @@ def cmd_tamper(args) -> int:
         elif args.set:
             col, _, val = args.set.partition("=")
             col = col.strip()
-            value = _csv_record(val, td, [col], cfg.csv_null)
+            value = _csv_record(val, db, td, [col])
             if value is None:
                 print("error: --set takes one CSV field; quote a value with a comma",
                       file=sys.stderr)

@@ -4,9 +4,9 @@ This module is the one rule for what crosses from the database to the
 ledger: a row's identifier hashes its primary-key values joined to its table
 name; the tuple fingerprint hashes the identifier's hex rendering joined to
 every non-NULL column value in schema order. NULL columns contribute
-nothing, so flipping any column between NULL and a value always changes the
-digest. Rows are plain tuples of ``Value``s, aligned to their table's
-columns.
+nothing, so one NULL/value flip changes the digest, but their positions are
+unmarked: ``(1, NULL, 'approved')`` and ``(1, 'approved', NULL)`` collide.
+Rows are plain tuples of ``Value``s, aligned to their table's columns.
 
 A value's text is its canonical rendering, the same text the CSV writer
 stores. That rule lives in ``values``: ``render_value`` is its reference and

@@ -21,7 +21,7 @@ import random
 from decimal import Decimal
 
 from .parser import parse_ddl
-from .storage import write_csv_row
+from .storage import csv_line
 
 TPCH_DDL = """\
 create table region (r_regionkey integer, r_name text, r_comment text,
@@ -119,10 +119,11 @@ class FixtureWriter:
     def _write(self, table: str, rows):
         path = os.path.join(self.dest, f"{table}.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            write_csv_row(f, _HEADERS[table])
+            # NULL is an empty field: csv_null's default
+            f.write(csv_line(_HEADERS[table], ""))
             n = 0
             for row in rows:
-                write_csv_row(f, [None if v is None else str(v) for v in row])
+                f.write(csv_line([None if v is None else str(v) for v in row], ""))
                 n += 1
         return n
 

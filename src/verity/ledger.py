@@ -324,7 +324,12 @@ class _Entry(NamedTuple):
 class LedgerInterface:
     """Contract any backing ledger must satisfy (one extra read operation,
     scan_active, beyond the write/query surface — the full-scan audit needs
-    to enumerate live row ids)."""
+    to enumerate live row ids).
+
+    The verifier also reads ``submit(...).height`` and the ``row_id``,
+    ``status`` and ``fingerprint`` of the records ``get_current`` and
+    ``scan_active`` return; ``bench.run_bench`` calls ``clone_in_memory()``
+    for an unpersisted copy in the same state."""
 
     def submit(self, drafts: list[TxDraft], submitter: str) -> Block:
         raise NotImplementedError

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 from .errors import SqlSyntaxError
 
+_DIGITS = set("0123456789")  # ASCII only: int() and Decimal() accept other digits
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_IDENT_CONT = _IDENT_START | _DIGITS
 
 # Multi-char operators first so <= is not lexed as < followed by =.
 _OPERATORS = ("<>", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "(", ")", ",", ".", ";")
@@ -49,13 +50,13 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(IDENT, sql[i:j].lower(), i))
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i + 1
-            while j < n and sql[j].isdigit():
+            while j < n and sql[j] in _DIGITS:
                 j += 1
-            if j < n and sql[j] == "." and j + 1 < n and sql[j + 1].isdigit():
+            if j < n and sql[j] == "." and j + 1 < n and sql[j + 1] in _DIGITS:
                 j += 1
-                while j < n and sql[j].isdigit():
+                while j < n and sql[j] in _DIGITS:
                     j += 1
             tokens.append(Token(NUMBER, sql[i:j], i))
             i = j

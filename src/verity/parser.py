@@ -16,8 +16,6 @@ UnsupportedFeature rather than surfacing as confusing syntax errors.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 from .errors import BadType, DuplicateColumn, SqlSyntaxError, UnknownColumn, UnsupportedFeature
 from .lexer import EOF, IDENT, NUMBER, OP, STRING, Token, tokenize
 from .sqlast import (
@@ -49,7 +47,7 @@ from .sqlast import (
     UpdateQuery,
     ValuesSource,
 )
-from .values import NULL, Value, ValueType
+from .values import NULL, Value, ValueType, parse_typed
 
 # Unsupported keywords rejected before parsing; these are reserved words.
 _UNSUPPORTED = {
@@ -439,7 +437,7 @@ class _Parser:
         if t.type == NUMBER:
             self.advance()
             if "." in t.value:
-                return Literal(Value.decimal(Decimal(t.value)))
+                return Literal(parse_typed(t.value, ValueType.DECIMAL))
             return Literal(Value.integer(int(t.value)))
         if t.type == STRING:
             self.advance()

@@ -121,21 +121,19 @@ class _Table:
     (``insert``, ``replace``, so ``raw_mutate`` too, and ``load_csv``)
     stores a new tuple object. Two caches rely on that, both keyed by
     ``id(row)`` and holding the row itself, so the id cannot be reused while
-    the entry exists: ``csv_lines`` (``Database.dump_csv``) and
-    ``verified``, the row id and fingerprint the ledger last confirmed for
-    the row (filled by the verifier's tuple check; ``replace`` and
-    ``_remove`` drop the entry of the row they drop). A copy starts with
-    both empty."""
+    the entry exists: ``csv_lines``, the row's line (``Database.dump_csv``),
+    and ``verified``, the row id and fingerprint the ledger last confirmed
+    for the row (filled by the verifier's tuple check). ``replace`` and
+    ``_remove`` drop both entries of the row they drop, so each cache holds
+    stored rows only. A copy starts with both empty."""
 
     def __init__(self, d: TableDef):
         self.d = d
         self.rows: dict[tuple, Row] = {}  # pk values -> full row
         self._order: list[Row] | None = None   # the rows, in key order
         self._keys: list[tuple] | None = None  # their sort keys, aligned
-        # Database.dump_csv's cache: id(row) -> (row, line), rendered with
-        # csv_null
+        # id(row) -> (row, its CSV line)
         self.csv_lines: dict[int, tuple[Row, str]] = {}
-        self.csv_null: str | None = None
         # id(row) -> (row, row id, fingerprint) the ledger last confirmed
         self.verified: dict[int, tuple[Row, str, str]] = {}
 
@@ -212,6 +210,7 @@ class _Table:
             self._add(new_pk, row)
             return
         self.rows[pk] = row
+        self.csv_lines.pop(id(old), None)
         self.verified.pop(id(old), None)
         if self._order is not None:
             self._order[self._position(pk, old)] = row
@@ -230,6 +229,7 @@ class _Table:
 
     def _remove(self, pk: tuple):
         row = self.rows.pop(pk)
+        self.csv_lines.pop(id(row), None)
         self.verified.pop(id(row), None)
         if self._order is not None:
             i = self._position(pk, row)
@@ -629,11 +629,14 @@ def _hash_matches(step: _Step, rows: list[Row]):
 # --- the database ------------------------------------------------------------
 
 class Database:
-    def __init__(self):
+    def __init__(self, null_literal: str = ""):
+        # how this database's CSV files spell NULL: an unquoted field equal
+        # to it reads as NULL, and NULL is written as it
+        self.null_literal = null_literal
         self.catalog = Catalog()
         self._tables: dict[str, _Table] = {}
-        # tables registered with a CSV not yet loaded: name -> (path, null literal)
-        self._csv_sources: dict[str, tuple[str, str]] = {}
+        # tables registered with a CSV not yet loaded: name -> path
+        self._csv_sources: dict[str, str] = {}
 
     # schema & loading
 
@@ -651,16 +654,16 @@ class Database:
         self._tables[d.name] = _Table(d)
         return d
 
-    def register_csv(self, table: str, path: str, null_literal: str = ""):
+    def register_csv(self, table: str, path: str):
         """Have ``table`` loaded from the CSV file at ``path`` when something
         first touches it (``_table``), not now."""
-        self._csv_sources[self.catalog.get(table).name] = (path, null_literal)
+        self._csv_sources[self.catalog.get(table).name] = path
 
     def is_loaded(self, table: str) -> bool:
         """False while ``table``'s registered CSV has not been loaded."""
         return self.catalog.get(table).name not in self._csv_sources
 
-    def load_csv(self, table: str, stream, null_literal: str = "") -> int:
+    def load_csv(self, table: str, stream) -> int:
         """Add the rows of a CSV stream to ``table``, all or none: they go
         into a copy of the table, which replaces it only once every line has
         parsed. A table that loads ends its ``register_csv`` registration."""
@@ -669,7 +672,7 @@ class Database:
 
         def records():
             try:
-                yield from iter_csv(stream)
+                yield from iter_csv(stream, self.null_literal)
             except ValueTypeError as exc:  # names its line, not its table
                 raise ValueTypeError(f"{table} {exc}") from None
             except UnicodeDecodeError as exc:
@@ -680,18 +683,17 @@ class Database:
             header = next(reader)
         except StopIteration:
             raise ArityError(f"{table}: CSV is empty, header row required") from None
-        header_names = [h for h, _ in header]
-        if header_names != t.d.column_names():
-            raise ArityError(
-                f"{table}: CSV header {header_names} does not match schema {t.d.column_names()}"
-            )
+        # a header field equal to the null literal names a column like any other
+        header = [self.null_literal if h is None else h for h in header]
+        if header != t.d.column_names():
+            raise ArityError(f"{table}: CSV header {header} does not match schema "
+                             f"{t.d.column_names()}")
         n = 0
         for lineno, fields in enumerate(reader, start=2):
             if len(fields) != len(t.d.columns):
                 raise ArityError(f"{table} line {lineno}: expected {len(t.d.columns)} fields")
             try:
-                row = tuple([csv_value(f, col.type, null_literal)
-                             for f, col in zip(fields, t.d.columns)])
+                row = tuple([csv_value(f, col.type) for f, col in zip(fields, t.d.columns)])
             except ValueTypeError as exc:
                 raise ValueTypeError(f"{d.name} line {lineno}: {exc}") from None
             t.insert(row)
@@ -700,22 +702,18 @@ class Database:
         self._csv_sources.pop(d.name, None)
         return n
 
-    def dump_csv(self, table: str, stream, null_literal: str = ""):
+    def dump_csv(self, table: str, stream):
         """Write the table as CSV, rows in key order. Each row's line is
-        rendered once and reused while that row object stays stored and the
-        null literal stays the same, so a dump after a mutation renders only
-        the rows the mutation stored."""
-        t = self._table(table)
-        cached = t.csv_lines if t.csv_null == null_literal else {}
-        kept: dict[int, tuple[Row, str]] = {}
-        out = [csv_line(t.d.column_names(), null_literal)]
+        rendered the first time the row is dumped and kept in the table's
+        ``csv_lines`` while that row object stays stored, so a dump after a
+        mutation renders only the rows the mutation stored."""
+        t, null = self._table(table), self.null_literal
+        out = [csv_line(t.d.column_names(), null)]
         for row in t.sorted_rows():
-            entry = cached.get(id(row))
+            entry = t.csv_lines.get(id(row))
             if entry is None:
-                entry = (row, _row_line(row, null_literal))
-            kept[id(row)] = entry
+                entry = t.csv_lines[id(row)] = (row, _row_line(row, null))
             out.append(entry[1])
-        t.csv_lines, t.csv_null = kept, null_literal
         stream.write("".join(out))
 
     def _table(self, name: str) -> _Table:
@@ -723,11 +721,10 @@ class Database:
         loaded here on first use; when that CSV does not load, the table
         stays unloaded and every touch raises the same error again."""
         name = self.catalog.get(name).name
-        source = self._csv_sources.get(name)
-        if source is not None:
-            path, null_literal = source
+        path = self._csv_sources.get(name)
+        if path is not None:
             with open(path, encoding="utf-8", newline="") as f:
-                self.load_csv(name, f, null_literal)
+                self.load_csv(name, f)
         return self._tables[name]
 
     # reads
@@ -805,9 +802,9 @@ class Database:
     # misc
 
     def clone(self) -> "Database":
-        """Independent copy, every table loaded. Rows are tuples of immutable
-        Values, so the row objects themselves can be shared."""
-        db = Database()
+        """Independent copy in the same dialect, every table loaded. Rows are
+        tuples of immutable Values, so the row objects themselves are shared."""
+        db = Database(self.null_literal)
         for name, d in self.catalog.tables.items():
             db.catalog.tables[name] = d
             db._tables[name] = self._table(name).copy()
@@ -886,21 +883,19 @@ def _aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:
 # --- CSV ----------------------------------------------------------------------
 #
 # Dialect: comma-separated, double-quote quoting with "" escape, \n or \r\n
-# line endings. Fields come back as (text, quoted) pairs: only unquoted
-# fields are eligible to be NULL markers.
+# line endings. A field is its text, or None for NULL, which is written as
+# the null literal, unquoted: only an unquoted field reads as NULL.
 
-def iter_csv(stream):
-    """The records of a CSV stream, each a list of ``(text, quoted)`` fields.
-    A quoted field left open raises ValueTypeError naming its record's line,
-    counted from 1 as records, not as physical lines."""
+def iter_csv(stream, null_literal: str):
+    """The records of a CSV text stream, each a list of fields. A quoted
+    field left open raises ValueTypeError naming its record's line, counted
+    from 1 as records, not as physical lines."""
     data = stream.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     i, n = 0, len(data)
     lineno = 0
     while i < n:
         lineno += 1
-        fields: list[tuple[str, bool]] = []
+        fields: list[str | None] = []
         while True:
             if i < n and data[i] == '"':
                 i += 1
@@ -917,12 +912,13 @@ def iter_csv(stream):
                         break
                     buf.append(data[i])
                     i += 1
-                fields.append(("".join(buf), True))
+                fields.append("".join(buf))
             else:
                 j = i
                 while j < n and data[j] not in (",", "\n", "\r"):
                     j += 1
-                fields.append((data[i:j], False))
+                text = data[i:j]
+                fields.append(None if text == null_literal else text)
                 i = j
             if i < n and data[i] == ",":
                 i += 1
@@ -935,19 +931,9 @@ def iter_csv(stream):
         yield fields
 
 
-def csv_value(field: tuple[str, bool], col_type: ValueType, null_literal: str) -> Value:
-    """The value of one CSV ``(text, quoted)`` field in a column of
-    ``col_type``: NULL when the field is unquoted and equal to
-    ``null_literal``, else the text parsed as ``col_type``, so a quoted field
-    spells a text equal to the null literal."""
-    raw, quoted = field
-    if not quoted and raw == null_literal:
-        return NULL
-    return parse_typed(raw, col_type)
-
-
-def write_csv_row(stream, fields, null_literal: str = ""):
-    stream.write(csv_line(fields, null_literal))
+def csv_value(field: str | None, col_type: ValueType) -> Value:
+    """The value of one CSV field in a column of ``col_type``."""
+    return NULL if field is None else parse_typed(field, col_type)
 
 
 def _row_line(row: Row, null_literal: str) -> str:
@@ -955,15 +941,14 @@ def _row_line(row: Row, null_literal: str) -> str:
     return csv_line([None if v.is_null else render_value(v) for v in row], null_literal)
 
 
-def csv_line(fields, null_literal: str = "") -> str:
-    # None marks NULL and is written as the (unquoted) null literal; a real
-    # text value that would collide with it gets quoted.
+def csv_line(fields, null_literal: str) -> str:
+    """One CSV record, newline-terminated: ``fields`` as ``iter_csv`` reads
+    them back, None written as the (unquoted) null literal."""
     out = []
     for f in fields:
         if f is None:
             out.append(null_literal)
-            continue
-        if f == null_literal or f == "" or any(ch in f for ch in (",", '"', "\n", "\r")):
+        elif f == null_literal or f == "" or any(ch in f for ch in (",", '"', "\n", "\r")):
             out.append('"' + f.replace('"', '""') + '"')
         else:
             out.append(f)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
+from decimal import Context, Decimal, Inexact, InvalidOperation, Overflow, ROUND_HALF_EVEN
 from enum import Enum
 
 from .errors import BadType, EvalError, ValueTypeError
@@ -27,6 +27,9 @@ _DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 
 # Fractional precision for DECIMAL arithmetic results.
 _DEC_QUANTUM = Decimal("1E-10")
+
+# raises where ``decimal_str``'s normalize (default context) changes a number
+_RENDERABLE = Context(prec=28, Emin=-999999, Emax=999999, traps=[Inexact, Overflow])
 
 
 class ValueType(Enum):
@@ -164,7 +167,8 @@ def render_texts(values) -> list[str]:
 
 
 def parse_typed(text: str, target: ValueType) -> Value:
-    """Parse a raw field (CSV cell or tamper-CLI argument) as ``target``."""
+    """Parse a raw field (CSV cell, tamper-CLI argument or SQL number) as
+    ``target``; a decimal only if ``decimal_str`` renders it exactly."""
     if target is ValueType.INTEGER:
         try:
             return Value.integer(int(text, 10))
@@ -172,9 +176,14 @@ def parse_typed(text: str, target: ValueType) -> Value:
             raise ValueTypeError(f"not an integer: {text!r}") from None
     if target is ValueType.DECIMAL:
         try:
-            return Value.decimal(Decimal(text))
+            d = Decimal(text)
+            d.normalize(_RENDERABLE)
         except InvalidOperation:
             raise ValueTypeError(f"not a decimal: {text!r}") from None
+        except Inexact:  # its canonical text would be another number
+            raise ValueTypeError(f"decimal out of range: {text!r} (28 significant "
+                                 "digits, exponents within 999999)") from None
+        return Value.decimal(d)
     if target is ValueType.DATE:
         return Value.date(text)
     return Value.text(text)

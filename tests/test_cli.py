@@ -128,6 +128,15 @@ def test_exec_syntax_error_exit_1(workdir, capsys):
     assert run(conf, "exec", "select * from region where x in (1)") == EXIT_ERROR
 
 
+def test_exec_a_number_in_non_ascii_digits_exits_1(workdir, capsys):
+    _, conf = workdir
+    run(conf, "init")
+    capsys.readouterr()
+    for sql in ("select ² from region", "select 1.² from region"):
+        assert run(conf, "exec", sql) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_config_that_is_a_directory_exits_1_naming_it(tmp_path, capsys):
     assert run(str(tmp_path), "exec", "select * from region") == EXIT_ERROR
     err = capsys.readouterr().err
@@ -191,6 +200,34 @@ def test_exec_decimal_past_the_exponent_limit_is_an_error_not_a_traceback(workdi
     capsys.readouterr()
     assert run(conf, "exec", sql) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: decimal overflow")
+
+
+def test_init_refuses_a_decimal_whose_tamper_would_go_unseen(workdir, capsys):
+    # rendered at 28 significant digits, ...901 and ...999 were one number,
+    # so a tamper from one to the other kept the row's fingerprint
+    tmp, conf = workdir
+    path = tmp / "fx" / "customer.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[5] = "1234567890123456789012345678901"  # c_acctbal of customer 1
+    lines[1] = ",".join(fields)
+    path.write_text("".join(lines))
+    assert run(conf, "init") == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: customer line 2: decimal out of range")
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "1e-999999999",
+                                   "1234567890123456789012345678999"])
+def test_tamper_refuses_a_decimal_its_csv_could_not_hold(workdir, capsys, value):
+    # each would be written back as another number (1e999999999 cannot be
+    # written at all); the file keeps its rows
+    tmp, conf = workdir
+    run(conf, "init")
+    before = (tmp / "fx" / "customer.csv").read_bytes()
+    capsys.readouterr()
+    assert run(conf, "tamper", "customer", "--pk", "1", "--set", f"c_acctbal={value}") == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: customer line 1: decimal out of range")
+    assert (tmp / "fx" / "customer.csv").read_bytes() == before
 
 
 def test_exec_mutation_persists_across_invocations(workdir, capsys):

@@ -19,7 +19,7 @@ from verity import sqlast as ast
 from verity import storage
 from verity.errors import EvalError
 from verity.parser import parse
-from verity.storage import Database, write_csv_row
+from verity.storage import Database, csv_line
 from verity.values import NULL, Value, render_value
 
 DDL = """
@@ -34,7 +34,7 @@ DATES = [f"199{y}-0{m}-1{d}" for y in range(5, 8) for m in range(1, 4) for d in 
 
 
 def random_db(rng: random.Random) -> Database:
-    db = Database()
+    db = Database(null_literal=rng.choice(["", "NULL"]))
     db.load_ddl(DDL)
     keys = rng.sample(range(1, 41), rng.randint(0, 25))
     for k in keys:
@@ -313,33 +313,37 @@ def test_one_row_update_writeback_renders_one_row(monkeypatch):
     verifier.process("update o set v = v + 1 where k = 7")
     after = dump(db, "o")
     assert len(lines) == 1
-    assert after == reference_dump(db, "o", "")
+    assert after == reference_dump(db, "o")
     assert after != before
     lines.clear()
     verifier.process("update o set v = v + 1 where k >= 10 and k <= 19")
     dump(db, "o")
     assert len(lines) == 10
-    lines.clear()
-    dump(db, "o", "NULL")  # another null literal: every line again
-    assert len(lines) == 200
 
 
-def dump(db: Database, table: str, null: str = "") -> str:
+def dump(db: Database, table: str) -> str:
     out = io.StringIO()
-    db.dump_csv(table, out, null)
+    db.dump_csv(table, out)
     return out.getvalue()
 
 
-def reference_dump(db: Database, table: str, null: str) -> str:
-    """The table rendered from scratch, rows sorted here by their key."""
-    td = db.catalog.get(table)
+def reference_dump(db: Database, table: str) -> str:
+    """The table rendered from scratch in ``db``'s dialect, rows sorted here
+    by their key."""
+    td, null = db.catalog.get(table), db.null_literal
     rows = sorted(db._table(table).rows.values(),
                   key=lambda r: [r[i].sort_key() for i in td.pk_indices])
-    out = io.StringIO()
-    write_csv_row(out, td.column_names(), null)
-    for row in rows:
-        write_csv_row(out, [None if v.is_null else render_value(v) for v in row], null)
-    return out.getvalue()
+    lines = [csv_line(td.column_names(), null)]
+    lines += [csv_line([None if v.is_null else render_value(v) for v in row], null)
+              for row in rows]
+    return "".join(lines)
+
+
+def assert_lines_cache_only_stored_rows(db: Database, table: str):
+    """Right after a dump, the table's cached lines are its stored rows'."""
+    t = db._table(table)
+    assert {i: row for i, (row, _) in t.csv_lines.items()} == \
+        {id(row): row for row in t.rows.values()}
 
 
 def random_mutation(rng, db: Database):
@@ -393,10 +397,10 @@ def test_dumps_after_random_mutations_equal_fresh_dumps():
             random_mutation(rng, db)
             if step % 3 == 0:
                 table = rng.choice(["o", "l", "t"])
-                null = rng.choice(["", "NULL"])
-                assert dump(db, table, null) == reference_dump(db, table, null)
+                assert dump(db, table) == reference_dump(db, table)
+                assert_lines_cache_only_stored_rows(db, table)
         for table in ("o", "l", "t"):
-            for null in ("", "NULL"):
-                assert dump(db, table, null) == reference_dump(db, table, null)
+            assert dump(db, table) == reference_dump(db, table)
+            assert_lines_cache_only_stored_rows(db, table)
             clone = db.clone()
-            assert dump(clone, table) == reference_dump(db, table, "")
+            assert dump(clone, table) == reference_dump(db, table)

@@ -3,7 +3,7 @@
 import pytest
 
 from verity import sqlast as ast
-from verity.errors import SqlSyntaxError, UnsupportedFeature
+from verity.errors import SqlSyntaxError, UnsupportedFeature, ValueTypeError
 from verity.lexer import IDENT, tokenize
 from verity.parser import parse
 from verity.sqlast import QueryKind, classify, render
@@ -185,6 +185,28 @@ def test_number_literals_typed():
     left, right = q.where.left, q.where.right
     assert left.right.value.kind is ValueType.INTEGER
     assert right.right.value.kind is ValueType.DECIMAL
+
+
+@pytest.mark.parametrize("sql", [
+    "select ² from region",       # a digit to str.isdigit, not to int()
+    "select 1.² from region",     # nor to Decimal()
+    "select ١ from region",       # an Arabic-Indic one, which int() reads as 1
+    "select * from t where a = 1²",
+])
+def test_numbers_are_ascii_digits_only(sql):
+    with pytest.raises(SqlSyntaxError):
+        parse(sql)
+
+
+@pytest.mark.parametrize("literal", [
+    "1234567890123456789012345678901.5",   # 32 significant digits
+    "0.12345678901234567890123456789",     # 29
+])
+def test_a_decimal_literal_past_28_significant_digits_is_refused(literal):
+    # stored as given, it would be fingerprinted and written back rounded
+    with pytest.raises(ValueTypeError, match="decimal out of range"):
+        parse(f"insert into t (k, d) values (1, {literal})")
+    parse("insert into t (k, d) values (1, 1234567890123456789012345678.0)")  # 28 digits
 
 
 def test_like_and_not_like():

@@ -4,6 +4,7 @@ import io
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     RandomDbGen,
@@ -25,8 +26,8 @@ from verity.errors import (
     ValueTypeError,
 )
 from verity.parser import parse
-from verity.storage import Database, iter_csv
-from verity.values import NULL, Value, ValueType, decimal_str
+from verity.storage import Database, csv_line, iter_csv
+from verity.values import NULL, Value, ValueType, decimal_str, parse_typed
 
 
 # --- DDL -----------------------------------------------------------------------
@@ -84,6 +85,35 @@ def test_decimal_normalization(text, expect):
     assert decimal_str(Decimal(text)) == expect
 
 
+# decimal text: sign, up to 34 coefficient digits and an exponent, near zero
+# or near the default context's limits (adjusted exponents within +-999999)
+_DECIMAL_TEXT = st.one_of(
+    st.sampled_from(["1234567890123456789012345678901", "1e999999999", "1e-999999999",
+                     "9E+999999", "1E+1000000", "1E-999999", "1E-1000026", "1E-1000027",
+                     "0E-999999999", "-0", "1234567890123456789012345678"]),
+    st.builds(lambda sign, digits, exp: str(Decimal((sign, tuple(digits), exp))),
+              st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1, max_size=34),
+              st.integers(-40, 40) | st.integers(-1000030, -999960)
+              | st.integers(999960, 1000000) | st.sampled_from([-10**9, 10**9])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DECIMAL_TEXT)
+def test_every_decimal_parse_typed_accepts_renders_as_itself(text):
+    try:
+        v = parse_typed(text, ValueType.DECIMAL)
+    except ValueTypeError:
+        return
+    assert Decimal(decimal_str(v.raw)) == v.raw == Decimal(text)
+
+
+@pytest.mark.parametrize("text", ["1234567890123456789012345678.9", "1e999999999",
+                                  "1e-999999999"])
+def test_parse_typed_refuses_a_decimal_its_rendering_would_change(text):
+    with pytest.raises(ValueTypeError, match="decimal out of range"):
+        parse_typed(text, ValueType.DECIMAL)
+
+
 def test_text_rejects_unit_separator():
     with pytest.raises(ValueTypeError):
         Value.text("a\x1fb")
@@ -117,9 +147,9 @@ def test_load_csv_counts_and_nulls():
 
 
 def test_load_csv_custom_null_literal():
-    db = Database()
+    db = Database(null_literal="NULL")
     db.create_table("create table t (a integer, b text, primary key (a))")
-    db.load_csv("t", io.StringIO('a,b\n1,NULL\n2,"NULL"\n'), null_literal="NULL")
+    db.load_csv("t", io.StringIO('a,b\n1,NULL\n2,"NULL"\n'))
     rows = list(db.rows_of("t"))
     assert rows[0][1].is_null
     assert rows[1][1].raw == "NULL"
@@ -159,8 +189,8 @@ def test_csv_quote_escape_round_trip():
 
 
 def test_csv_crlf_line_endings():
-    rows = list(iter_csv(io.StringIO("a,b\r\n1,x\r\n")))
-    assert rows == [[("a", False), ("b", False)], [("1", False), ("x", False)]]
+    rows = list(iter_csv(io.StringIO("a,b\r\n1,x\r\n"), ""))
+    assert rows == [["a", "b"], ["1", "x"]]
 
 
 def test_csv_null_round_trip_via_dump():
@@ -170,6 +200,36 @@ def test_csv_null_round_trip_via_dump():
     out = io.StringIO()
     db.dump_csv("t", out)
     assert out.getvalue() == "a,b\n1,\n"
+
+
+_FIELD = st.none() | st.sampled_from(["", "NULL"]) | st.text(st.sampled_from('aNUL ,"\r\n'))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FIELD, min_size=1, max_size=5), st.sampled_from(["", "NULL"]))
+def test_iter_csv_reads_back_the_fields_csv_line_writes(fields, null_literal):
+    # None is NULL; text equal to the literal, or empty, is a text value
+    line = csv_line(fields, null_literal)
+    assert list(iter_csv(io.StringIO(line), null_literal)) == [fields]
+
+
+def test_a_header_field_equal_to_the_null_literal_names_its_column():
+    db = Database(null_literal="b")
+    db.create_table("create table t (a integer, b text, primary key (a))")
+    db.load_csv("t", io.StringIO('a,b\n1,b\n2,"b"\n'))
+    assert [row[1] for row in db.rows_of("t")] == [NULL, Value.text("b")]
+
+
+def test_clone_keeps_the_null_literal():
+    db = Database(null_literal="NULL")
+    db.create_table("create table t (a integer, b text, primary key (a))")
+    db.load_csv("t", io.StringIO('a,b\n1,NULL\n2,"NULL"\n3,\n'))
+    clone = db.clone()
+    assert clone.null_literal == "NULL"
+    for d in (db, clone):
+        out = io.StringIO()
+        d.dump_csv("t", out)
+        assert out.getvalue() == 'a,b\n1,NULL\n2,"NULL"\n3,""\n'
 
 
 # --- exec_select -------------------------------------------------------------------
