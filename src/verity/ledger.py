@@ -321,36 +321,17 @@ class _Entry(NamedTuple):
     prev_hash: bytes | None
 
 
-class LedgerInterface:
-    """Contract any backing ledger must satisfy (one extra read operation,
-    scan_active, beyond the write/query surface — the full-scan audit needs
-    to enumerate live row ids).
+class SimulatedLedger:
+    """The reference ledger: peers, blocks and world state in this process.
 
-    The verifier also reads ``submit(...).height`` and the ``row_id``,
-    ``status`` and ``fingerprint`` of the records ``get_current`` and
-    ``scan_active`` return; ``bench.run_bench`` calls ``clone_in_memory()``
-    for an unpersisted copy in the same state."""
+    A replacement needs no base class, only the same six methods:
+    ``submit``, ``get_current``, ``get_row_count``, ``verify_chain``,
+    ``history`` and ``scan_active`` (the full-scan audit enumerates live row
+    ids with it). Of their results the verifier reads ``submit(...).height``
+    and the ``row_id``, ``status`` and ``fingerprint`` of the records
+    ``get_current`` and ``scan_active`` return; ``bench.run_bench`` also
+    calls ``clone_in_memory()`` for an unpersisted copy in the same state."""
 
-    def submit(self, drafts: list[TxDraft], submitter: str) -> Block:
-        raise NotImplementedError
-
-    def get_current(self, row_id: str) -> FingerprintRecord | None:
-        raise NotImplementedError
-
-    def get_row_count(self, table: str) -> int:
-        raise NotImplementedError
-
-    def verify_chain(self) -> ChainReport:
-        raise NotImplementedError
-
-    def history(self, row_id: str) -> list[HistoryEntry]:
-        raise NotImplementedError
-
-    def scan_active(self, table: str | None = None) -> list[FingerprintRecord]:
-        raise NotImplementedError
-
-
-class SimulatedLedger(LedgerInterface):
     def __init__(self, peers: list[Peer], path: str | None = None, clock=None,
                  _defer_genesis: bool = False):
         if not peers:
@@ -473,34 +454,21 @@ class SimulatedLedger(LedgerInterface):
         if peer is None:
             raise LedgerError(f"unknown submitter {submitter!r}")
 
-        payloads = [draft_bytes(d) for d in drafts]
-
         # the peers share one world state, so the batch is validated once;
         # then every peer endorses each draft
         height = len(self._entries)
         records, counts = self._transition(drafts, height)
-        endorsements: list[list[tuple[str, bytes]]] = [[] for _ in drafts]
-        for p in self.peers:
-            for i, payload in enumerate(payloads):
-                endorsements[i].append((p.peer_id, p.sign(payload)))
-
         txs = []
         for i, d in enumerate(drafts):
-            sigs = [
-                (pid, sig)
-                for pid, sig in endorsements[i]
-                if self.by_peer_id[pid].verify(sig, payloads[i])
-            ]
+            payload = draft_bytes(d)
+            signed = [(p, p.sign(payload)) for p in self.peers]
+            sigs = tuple((p.peer_id, sig) for p, sig in signed if p.verify(sig, payload))
             if len(sigs) < self.quorum:
                 raise EndorsementFailed(i, f"quorum not reached ({len(sigs)}/{self.quorum})")
-            txs.append(LedgerTx(d, peer.sign(payloads[i]), tuple(sigs)))
+            txs.append(LedgerTx(d, peer.sign(payload), sigs))
 
-        block = Block(
-            height=height,
-            prev_hash=self._entries[-1].hash if self._entries else GENESIS_PREV,
-            timestamp=self.clock(),
-            txs=tuple(txs),
-        )
+        prev_hash = self._entries[-1].hash if self._entries else GENESIS_PREV
+        block = Block(height, prev_hash, self.clock(), tuple(txs))
         self._append_block(block)
         self._records.update(records)
         self._counts.update(counts)

@@ -70,6 +70,7 @@ from .errors import (
     UnknownColumn,
     UnknownTable,
     ValueTypeError,
+    VerityError,
 )
 from .parser import parse_ddl, parse_table_def
 from .sqlast import TableDef
@@ -631,7 +632,9 @@ def _hash_matches(step: _Step, rows: list[Row]):
 class Database:
     def __init__(self, null_literal: str = ""):
         # how this database's CSV files spell NULL: an unquoted field equal
-        # to it reads as NULL, and NULL is written as it
+        # to it reads as NULL, and NULL is written as it, so it needs no quotes
+        if any(ch in null_literal for ch in _CSV_SPECIAL):
+            raise VerityError(f"CSV null literal {null_literal!r} holds a comma, quote, CR or LF")
         self.null_literal = null_literal
         self.catalog = Catalog()
         self._tables: dict[str, _Table] = {}
@@ -793,10 +796,8 @@ class Database:
     def raw_mutate(self, table: str, pk: tuple, column: str, new_value: Value):
         t = self._table(table)
         idx = t.d.col_index(column)
-        if not new_value.is_null:
-            new_value = coerce(new_value, t.d.columns[idx].type)
         row = list(t.get(tuple(pk)))
-        row[idx] = new_value
+        row[idx] = coerce(new_value, t.d.columns[idx].type)
         t.replace(tuple(pk), tuple(row))
 
     # misc
@@ -885,6 +886,8 @@ def _aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:
 # Dialect: comma-separated, double-quote quoting with "" escape, \n or \r\n
 # line endings. A field is its text, or None for NULL, which is written as
 # the null literal, unquoted: only an unquoted field reads as NULL.
+_CSV_SPECIAL = (",", '"', "\n", "\r")  # a field holding one is quoted
+
 
 def iter_csv(stream, null_literal: str):
     """The records of a CSV text stream, each a list of fields. A quoted
@@ -948,7 +951,7 @@ def csv_line(fields, null_literal: str) -> str:
     for f in fields:
         if f is None:
             out.append(null_literal)
-        elif f == null_literal or f == "" or any(ch in f for ch in (",", '"', "\n", "\r")):
+        elif f == null_literal or f == "" or any(ch in f for ch in _CSV_SPECIAL):
             out.append('"' + f.replace('"', '""') + '"')
         else:
             out.append(f)

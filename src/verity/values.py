@@ -169,6 +169,11 @@ def render_texts(values) -> list[str]:
 def parse_typed(text: str, target: ValueType) -> Value:
     """Parse a raw field (CSV cell, tamper-CLI argument or SQL number) as
     ``target``; a decimal only if ``decimal_str`` renders it exactly."""
+    if target is ValueType.INTEGER or target is ValueType.DECIMAL:
+        # a number as the lexer reads one: int() and Decimal() also take
+        # non-ASCII digits, "_" and surrounding whitespace
+        if not text.isascii() or "_" in text or text != text.strip():
+            raise ValueTypeError(f"not a plain ASCII {target.value}: {text!r}")
     if target is ValueType.INTEGER:
         try:
             return Value.integer(int(text, 10))

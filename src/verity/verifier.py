@@ -4,10 +4,12 @@ Every statement runs through the same pipeline: parse, widen, execute the
 wide query, fingerprint-check every distinct base tuple it touched against
 the ledger, and only then release results or apply mutations.
 
-The write protocol lives in ``Verifier._commit_and_apply``, shared by UPDATE,
-INSERT and DELETE: the touched tuples' fingerprints commit as one ledger block
-strictly before storage is touched, so a ledger rejection leaves the database
-unchanged. A row's previous fingerprint is the one its SELECT just verified.
+The write protocol is stated in row changes: UPDATE, INSERT and DELETE hand
+``Verifier._commit_and_apply`` a ``(row id, old row, new row)`` per changed
+row, and it alone turns them into ledger drafts, commits those as one block
+strictly before storage is touched, then applies the changes; so a ledger
+rejection leaves the database unchanged. A row's previous fingerprint is the
+one its SELECT just verified.
 
 Detection is access-triggered: a tuple tampered out-of-band fails its
 fingerprint check the first time any verified query touches it, and every
@@ -48,7 +50,7 @@ from .errors import (
     UnsupportedFeature,
 )
 from .fingerprint import fingerprint, fingerprint_tuple, row_id
-from .ledger import LedgerInterface, TxDraft, TxKind
+from .ledger import SimulatedLedger, TxDraft, TxKind
 from .parser import parse
 from .rewriter import change_projection, project_results
 from .sqlast import QueryKind, classify
@@ -133,7 +135,7 @@ class _Timer:
 
 
 class Verifier:
-    def __init__(self, db: Database, ledger: LedgerInterface, principal: str = "peer-1",
+    def __init__(self, db: Database, ledger: SimulatedLedger, principal: str = "peer-1",
                  clock=None, audit_log: str | None = None):
         self.db = db
         self.ledger = ledger
@@ -152,11 +154,8 @@ class Verifier:
         counts: dict[str, int] = {}
         for table in self.db.catalog.names():
             td = self.db.catalog.get(table)
-            drafts = []
-            for row in self.db.rows_of(table):
-                rid, fp = fingerprint_tuple(td, row)
-                drafts.append(TxDraft(TxKind.PUT, table, self.principal,
-                                      row_id=rid, fingerprint=fp))
+            drafts = [TxDraft(TxKind.PUT, table, self.principal, *fingerprint_tuple(td, row))
+                      for row in self.db.rows_of(table)]
             counts[table] = n = len(drafts)
             drafts.append(TxDraft(TxKind.ADJUST_ROW_COUNT, table, self.principal, delta=n))
             self.ledger.submit(drafts, self.principal)
@@ -237,19 +236,13 @@ class Verifier:
         setters = [(idx, td.columns[idx].type,
                     compile_expr(scalars[i] if i in scalars else scope.bind(a.value)))
                    for i, (idx, a) in enumerate(zip(set_cols, q.assignments))]
-        drafts, ops = [], []
-        for rid, pk, old in old_rows:
+        changes = []
+        for rid, old in old_rows:
             new = list(old)
             for idx, typ, expr in setters:
-                v = expr(old)
-                new[idx] = v if v.is_null else coerce(v, typ)
-            new = tuple(new)
-            drafts.append(TxDraft(TxKind.UPDATE, td.name, principal, row_id=rid,
-                                  fingerprint=fingerprint(rid, new),
-                                  prev_fingerprint=report.checked[rid]))
-            ops.append((td.name, pk, new))
-        return self._commit_and_apply(report, QueryKind.UPDATE, td.name, principal, drafts,
-                                      self.db.apply_row_update, ops)
+                new[idx] = coerce(expr(old), typ)
+            changes.append((rid, old, tuple(new)))
+        return self._commit_and_apply(report, QueryKind.UPDATE, td, principal, changes)
 
     def _insert(self, q: ast.InsertQuery, td: TableDef, report: VerificationReport,
                 principal: str) -> MutationSummary:
@@ -282,11 +275,11 @@ class Verifier:
                 )
             values = [NULL] * len(td.columns)
             for v, idx in zip(r, col_idx):
-                values[idx] = v if v.is_null else coerce(v, td.columns[idx].type)
+                values[idx] = coerce(v, td.columns[idx].type)
             new_rows.append(tuple(values))
 
         batch_pks = set()
-        drafts, ops = [], []
+        changes = []
         for values in new_rows:
             pk = td.key(values)
             if any(v.is_null for v in pk):
@@ -296,53 +289,58 @@ class Verifier:
             batch_pks.add(pk)
             if self.db.has_row(td.name, pk):
                 raise DuplicatePrimaryKey(f"key {pk} already present in {td.name}")
-            rid = row_id(pk, td.name)
-            drafts.append(TxDraft(TxKind.PUT, td.name, principal, row_id=rid,
-                                  fingerprint=fingerprint(rid, values)))
-            ops.append((td.name, values))
-        return self._commit_and_apply(report, QueryKind.INSERT, td.name, principal, drafts,
-                                      self.db.apply_row_insert, ops)
+            changes.append((row_id(pk, td.name), None, values))
+        return self._commit_and_apply(report, QueryKind.INSERT, td, principal, changes)
 
     def _delete(self, q: ast.DeleteQuery, td: TableDef, report: VerificationReport,
                 principal: str) -> MutationSummary:
-        old_rows = self._target_rows(td, q.where, report)
-        drafts = [TxDraft(TxKind.MARK_DELETED, td.name, principal, row_id=rid,
-                          prev_fingerprint=report.checked[rid]) for rid, _, _ in old_rows]
-        ops = [(td.name, pk) for _, pk, _ in old_rows]
-        return self._commit_and_apply(report, QueryKind.DELETE, td.name, principal, drafts,
-                                      self.db.apply_row_delete, ops)
+        changes = [(rid, old, None) for rid, old in self._target_rows(td, q.where, report)]
+        return self._commit_and_apply(report, QueryKind.DELETE, td, principal, changes)
 
     def _target_rows(self, td: TableDef, where,
-                     report: VerificationReport) -> list[tuple[str, tuple, tuple]]:
-        """``(row id, primary key, row)`` of every row of ``td`` that ``where``
-        selects, in key order, each verified by the SELECT pipeline, so its
-        verified fingerprint is ``report.checked[row id]``. The row ids are the
-        ones that check computed: a ``select *`` of one table keeps its wide
-        rows, in order."""
+                     report: VerificationReport) -> list[tuple[str, tuple]]:
+        """``(row id, row)`` of every row of ``td`` that ``where`` selects, in
+        key order, each verified by the SELECT pipeline (its fingerprint is
+        ``report.checked[row id]``) under the row id that check computed: a
+        ``select *`` of one table keeps its wide rows, in order."""
         q = ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
                             (ast.BaseTable(td.name, None),), where)
         rows, _, (rids,) = self._select(q, report)
-        return [(rid, td.key(row), row) for rid, row in zip(rids, rows)]
+        return list(zip(rids, rows))
 
-    def _commit_and_apply(self, report: VerificationReport, kind: QueryKind, table: str,
-                          principal: str, drafts: list, apply, ops: list) -> MutationSummary:
-        """The write protocol's one commit: ``drafts``, one per changed row,
-        plus the row-count change of an INSERT or DELETE, go to the ledger as
-        one block; only then does ``apply(*op)`` run for each op. A ledger
-        rejection therefore leaves storage unchanged."""
+    def _commit_and_apply(self, report: VerificationReport, kind: QueryKind, td: TableDef,
+                          principal: str, changes: list) -> MutationSummary:
+        """The write protocol's one commit. ``changes`` holds ``(row id, old
+        row, new row)`` per changed row of ``td``, no old row for an insert and
+        no new one for a delete. Their drafts and any row-count change go to the
+        ledger as one block before storage changes, so a ledger rejection
+        leaves storage as it was."""
+        table = td.name
+        drafts, delta = [], 0
+        for rid, old, new in changes:
+            tx_kind = (TxKind.PUT if old is None else
+                       TxKind.MARK_DELETED if new is None else TxKind.UPDATE)
+            drafts.append(TxDraft(tx_kind, table, principal, row_id=rid,
+                                  fingerprint=None if new is None else fingerprint(rid, new),
+                                  prev_fingerprint=None if old is None else report.checked[rid]))
+            delta += (old is None) - (new is None)
         height = None
         if drafts:
-            delta = {QueryKind.INSERT: len(ops), QueryKind.DELETE: -len(ops)}.get(kind)
             if delta:
                 drafts.append(TxDraft(TxKind.ADJUST_ROW_COUNT, table, principal, delta=delta))
             with _Timer(report, "ledger_commit"):
                 height = self.ledger.submit(drafts, principal).height
             report.ledger_txs_committed += len(drafts)
         with _Timer(report, "db_exec"):
-            for op in ops:
-                apply(*op)
-        report.tuples_mutated = len(ops)
-        return MutationSummary(kind, table, len(ops), len(drafts), height)
+            for _, old, new in changes:
+                if old is None:
+                    self.db.apply_row_insert(table, new)
+                elif new is None:
+                    self.db.apply_row_delete(table, td.key(old))
+                else:
+                    self.db.apply_row_update(table, td.key(old), new)
+        report.tuples_mutated = len(changes)
+        return MutationSummary(kind, table, len(changes), len(drafts), height)
 
     # --- audits ----------------------------------------------------------------
 

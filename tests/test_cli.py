@@ -230,6 +230,31 @@ def test_tamper_refuses_a_decimal_its_csv_could_not_hold(workdir, capsys, value)
     assert (tmp / "fx" / "customer.csv").read_bytes() == before
 
 
+@pytest.mark.parametrize("column,kind", [("c_nationkey", "integer"), ("c_acctbal", "decimal")])
+@pytest.mark.parametrize("value", ["\u0661", "1_000", " 7 "])
+def test_tamper_refuses_a_number_that_is_not_plain_ascii(workdir, capsys, column, kind, value):
+    # each would load as a number and be written back as other text
+    tmp, conf = workdir
+    run(conf, "init")
+    before = (tmp / "fx" / "customer.csv").read_bytes()
+    capsys.readouterr()
+    assert run(conf, "tamper", "customer", "--pk", "1", "--set", f"{column}={value}") == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: customer line 1: not a plain ASCII {kind}")
+    assert (tmp / "fx" / "customer.csv").read_bytes() == before
+
+
+def test_init_refuses_a_csv_null_that_needs_quotes(tmp_path, capsys):
+    (tmp_path / "schema.sql").write_text("create table t (k integer, s text, primary key (k));")
+    (tmp_path / "t.csv").write_text("k,s\n1,a\n")
+    conf = tmp_path / "verity.conf"
+    conf.write_text("ddl = schema.sql\ncsv_dir = .\nledger = ledger.dat\n"
+                    "peers = 1\ncsv_null = a,b\n")
+    assert run(str(conf), "init") == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'a,b'" in err
+    assert not (tmp_path / "ledger.dat").exists()
+
+
 def test_exec_mutation_persists_across_invocations(workdir, capsys):
     _, conf = workdir
     run(conf, "init")

@@ -24,6 +24,7 @@ from verity.errors import (
     NoSuchRow,
     UnknownColumn,
     ValueTypeError,
+    VerityError,
 )
 from verity.parser import parse
 from verity.storage import Database, csv_line, iter_csv
@@ -114,6 +115,29 @@ def test_parse_typed_refuses_a_decimal_its_rendering_would_change(text):
         parse_typed(text, ValueType.DECIMAL)
 
 
+NOT_ASCII_NUMBERS = ["\u0661", "1_000", " 7 ", "7\n", "\t7", "1_0.5", "\u0661.5"]
+
+
+@pytest.mark.parametrize("target", [ValueType.INTEGER, ValueType.DECIMAL])
+@pytest.mark.parametrize("text", NOT_ASCII_NUMBERS)
+def test_parse_typed_reads_numbers_in_ascii_alone(text, target):
+    # Decimal() reads each of these as a number, and int() those without a point
+    with pytest.raises(ValueTypeError, match="not a plain ASCII"):
+        parse_typed(text, target)
+
+
+@pytest.mark.parametrize("text,target,raw", [
+    ("+7", ValueType.INTEGER, 7),
+    ("-7", ValueType.INTEGER, -7),
+    ("+1.5", ValueType.DECIMAL, Decimal("1.5")),
+    ("-2.25", ValueType.DECIMAL, Decimal("-2.25")),
+    ("1e3", ValueType.DECIMAL, Decimal(1000)),
+    ("1.5E-2", ValueType.DECIMAL, Decimal("0.015")),
+])
+def test_parse_typed_keeps_sign_and_exponent_forms(text, target, raw):
+    assert parse_typed(text, target).raw == raw
+
+
 def test_text_rejects_unit_separator():
     with pytest.raises(ValueTypeError):
         Value.text("a\x1fb")
@@ -160,6 +184,24 @@ def test_load_csv_type_error():
     db.create_table("create table t (a integer, primary key (a))")
     with pytest.raises(ValueTypeError):
         db.load_csv("t", io.StringIO("a\nnot_a_number\n"))
+
+
+@pytest.mark.parametrize("field", ["\u0661", "1_000", " 7 "])
+def test_load_csv_refuses_a_number_that_is_not_plain_ascii(field):
+    db = Database()
+    db.create_table("create table t (a integer, b decimal, primary key (a))")
+    for text in (f"a,b\n1,2\n{field},3\n", f"a,b\n1,2\n2,{field}\n"):
+        with pytest.raises(ValueTypeError, match="^t line 3: not a plain ASCII"):
+            db.load_csv("t", io.StringIO(text))
+        assert db.row_count("t") == 0
+
+
+@pytest.mark.parametrize("literal", ["a,b", '"N"', "a\rb", "a\nb", ","])
+def test_a_null_literal_that_needs_quotes_is_refused(literal):
+    # written raw, NULL would read back as text or as more fields
+    with pytest.raises(VerityError) as exc:
+        Database(literal)
+    assert repr(literal) in str(exc.value)
 
 
 def test_load_csv_header_mismatch():
