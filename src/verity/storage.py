@@ -27,8 +27,11 @@ of its comparison class (numeric with numeric, TEXT/DATE with TEXT/DATE;
 bisection to the key range they select, and only the later filters are
 evaluated, on that range alone. A key filter after another kind of filter,
 or inside an OR, narrows nothing, so every evaluated filter still sees, and
-raises on, the rows the full scan would show it. ``dump_csv`` renders each
-row's CSV line once and reuses it while that row object stays stored.
+raises on, the rows the full scan would show it. A hash join over all of a
+base table's rows on plain columns keeps its hash table in the table
+(``join_index``) until the table's next write, so a join that touches few
+rows does not hash the whole table again. ``dump_csv`` renders each row's
+CSV line once and reuses it while that row object stays stored.
 
 Tables load on first use. ``register_csv`` names a table's CSV file, and
 the first call that touches the table (a read, a mutation, a row count, an
@@ -120,13 +123,18 @@ class _Table:
 
     A stored row is an immutable tuple of immutable values, and every write
     (``insert``, ``replace``, so ``raw_mutate`` too, and ``load_csv``)
-    stores a new tuple object. Two caches rely on that, both keyed by
-    ``id(row)`` and holding the row itself, so the id cannot be reused while
+    stores a new tuple object. The table keeps three caches. Two are keyed
+    by ``id(row)`` and hold the row itself, so the id cannot be reused while
     the entry exists: ``csv_lines``, the row's line (``Database.dump_csv``),
     and ``verified``, the row id and fingerprint the ledger last confirmed
     for the row (filled by the verifier's tuple check). ``replace`` and
-    ``_remove`` drop both entries of the row they drop, so each cache holds
-    stored rows only. A copy starts with both empty."""
+    ``_remove`` drop both entries of the row they drop, so each holds
+    stored rows only. The third, ``join_index``, maps a tuple of column
+    positions to the hash table and key classes ``_hash_matches`` built on
+    those columns over all of the table's rows; ``_add``, ``_remove`` and
+    ``replace``, so every write, clear all of it, since a stale entry would
+    join the rows a write replaced and hide their tampering. A copy starts
+    with all three empty."""
 
     def __init__(self, d: TableDef):
         self.d = d
@@ -137,6 +145,8 @@ class _Table:
         self.csv_lines: dict[int, tuple[Row, str]] = {}
         # id(row) -> (row, row id, fingerprint) the ledger last confirmed
         self.verified: dict[int, tuple[Row, str, str]] = {}
+        # key column positions -> (hash table, key classes) over every row
+        self.join_index: dict[tuple[int, ...], tuple[dict, list[dict]]] = {}
 
     def copy(self) -> "_Table":
         """Independent copy sharing the (immutable) row objects."""
@@ -213,6 +223,7 @@ class _Table:
         self.rows[pk] = row
         self.csv_lines.pop(id(old), None)
         self.verified.pop(id(old), None)
+        self.join_index.clear()
         if self._order is not None:
             self._order[self._position(pk, old)] = row
 
@@ -222,6 +233,7 @@ class _Table:
 
     def _add(self, pk: tuple, row: Row):
         self.rows[pk] = row
+        self.join_index.clear()
         if self._order is not None:
             k = _pk_sort_key(pk)
             i = bisect_right(self._keys, k)  # after equal keys: stored later
@@ -232,6 +244,7 @@ class _Table:
         row = self.rows.pop(pk)
         self.csv_lines.pop(id(row), None)
         self.verified.pop(id(row), None)
+        self.join_index.clear()
         if self._order is not None:
             i = self._position(pk, row)
             del self._keys[i]
@@ -516,6 +529,7 @@ class _Step:
     outer_keys: list = field(default_factory=list)   # equal to one over earlier bindings
     inner_left: list = field(default_factory=list)   # the inner key was the left operand
     residual: list = field(default_factory=list)     # every other conjunct
+    index: dict | None = None  # the base table's join_index, when rows are all its rows
 
 
 def _plan(where, scope: Scope, sources: list) -> list[_Step]:
@@ -526,7 +540,9 @@ def _plan(where, scope: Scope, sources: list) -> list[_Step]:
 
     Each source is a base ``_Table`` or a list of rows. A base table's rows
     are narrowed to the key range its leading filters select (``key_rows``);
-    the filters after those are evaluated on every row in that range."""
+    the filters after those are evaluated on every row in that range. A
+    base table with no filter at all joins all of its rows, so its step
+    carries the table's ``join_index`` for ``_hash_matches``."""
     # each block's positions are contiguous, from its first
     start = [cols[0][1] for _, cols in scope.blocks]
     depth_of = [d for d, (_, cols) in enumerate(scope.blocks) for _ in cols]
@@ -558,6 +574,8 @@ def _plan(where, scope: Scope, sources: list) -> list[_Step]:
         step.residual.append(bound)
     for step, src in zip(steps, sources):
         if isinstance(src, _Table):
+            if not step.local:
+                step.index = src.join_index
             step.rows, n = src.key_rows(step.local)
             del step.local[:n]
         else:
@@ -593,23 +611,23 @@ def _hash_matches(step: _Step, rows: list[Row]):
     """Hash ``rows`` on the step's inner keys; return the probe that finds, in
     row order, the rows matching an outer row's keys.
 
+    When ``rows`` are all of a base table's rows (``step.index``) and every
+    inner key is a plain column, the hash table is the one kept in that
+    table's ``join_index`` under those columns: built by the first join
+    that needs it, reused until the table's next write clears it. Any other
+    step hashes its rows for this statement alone.
+
     Keys are (is TEXT/DATE, raw) pairs, so INTEGER 1 meets DECIMAL 1.00 and
     TEXT meets DATE as ``=`` does; a NULL key meets nothing. A probe whose
     key class differs from a build-side key raises the error ``=`` raises."""
-    inner, outer = list(map(_raw, step.inner_keys)), list(map(_raw, step.outer_keys))
-    table: dict[tuple, list[Row]] = {}
-    seen: list[dict] = [{} for _ in inner]  # per key: class -> a value
-    for row in rows:
-        key = []
-        for f, classes in zip(inner, seen):
-            x = f(row)
-            if x is None:
-                break
-            text = type(x) is Value
-            classes.setdefault(text, x)
-            key.append((text, x.raw if text else x))
-        else:
-            table.setdefault(tuple(key), []).append(row)
+    if step.index is None or not all(isinstance(k, ast.BoundCol) for k in step.inner_keys):
+        table, seen = _hash_rows(step.inner_keys, rows)
+    else:
+        cols = tuple(k.index for k in step.inner_keys)
+        if cols not in step.index:
+            step.index[cols] = _hash_rows(step.inner_keys, rows)
+        table, seen = step.index[cols]
+    outer = list(map(_raw, step.outer_keys))
 
     def matches(acc: Row):
         key = []
@@ -625,6 +643,27 @@ def _hash_matches(step: _Step, rows: list[Row]):
         return table.get(tuple(key), ())
 
     return matches
+
+
+def _hash_rows(keys: list, rows: list[Row]) -> tuple[dict, list[dict]]:
+    """``(table, classes)``: ``rows`` hashed on bound expressions ``keys``,
+    each row under its tuple of key pairs, in row order, rows with a NULL
+    key left out; and, per key, one value of each key class it held."""
+    inner = list(map(_raw, keys))
+    table: dict[tuple, list[Row]] = {}
+    seen: list[dict] = [{} for _ in inner]  # per key: class -> a value
+    for row in rows:
+        key = []
+        for f, classes in zip(inner, seen):
+            x = f(row)
+            if x is None:
+                break
+            text = type(x) is Value
+            classes.setdefault(text, x)
+            key.append((text, x.raw if text else x))
+        else:
+            table.setdefault(tuple(key), []).append(row)
+    return table, seen
 
 
 # --- the database ------------------------------------------------------------

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import io
 import random
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import RandomDbGen, brute_force_select, normalize_raw, rows_to_raw
 from verity import storage
@@ -18,6 +20,7 @@ from verity.errors import EvalError
 from verity.parser import parse
 from verity.rewriter import change_projection
 from verity.storage import Database, Scope
+from verity.values import NULL, Value
 
 DDL = """
 create table a (id integer, x integer, d decimal, s text, dt date, primary key (id));
@@ -159,11 +162,16 @@ def test_local_conjuncts_filter_before_the_join():
 
 
 def test_mixed_integer_text_equality_join_raises():
-    db = join_db()
-    with pytest.raises(EvalError):
-        db.exec_select(parse("select * from a, b where a.x = b.s"))
-    with pytest.raises(EvalError):
-        db.exec_select(parse("select * from a, b where b.s = a.x"))
+    for sql in ("select * from a, b where a.x = b.s", "select * from a, b where b.s = a.x"):
+        with pytest.raises(EvalError) as cold:
+            join_db().exec_select(parse(sql))
+        db = join_db()
+        db.exec_select(parse("select * from a, b where a.s = b.s"))  # hashes b on s
+        assert list(db._table("b").join_index) == [(3,)]
+        for _ in range(2):
+            with pytest.raises(EvalError) as warm:
+                db.exec_select(parse(sql))
+            assert str(warm.value) == str(cold.value), sql
 
 
 def test_scope_resolve_runs_per_statement_not_per_row(monkeypatch):
@@ -238,8 +246,131 @@ def test_random_equi_joins_match_oracle():
         if conds:
             sql += " where " + " and ".join(conds)
         q = parse(sql)
-        got = rows_to_raw(db.exec_select(q))
         want = normalize_raw(brute_force_select(db, q))
-        assert got == want, f"case {i}: {sql}"
+        for run in ("cold", "warm"):  # the second run reuses the join index
+            got = rows_to_raw(db.exec_select(q))
+            assert got == want, f"case {i} ({run}): {sql}"
         checked += bool(want)
     assert checked >= 50  # cases that select something
+
+
+# --- the join index ------------------------------------------------------------------
+
+def test_the_index_serves_whole_tables_joined_on_plain_columns():
+    cases = [
+        ("select * from a, b where a.x = b.y", {(1,)}),
+        ("select * from a, b where a.x = b.y and a.s = b.s", {(1, 3)}),
+        ("select * from a, b where a.x = b.y and a.s <> b.s", {(1,)}),  # a residual
+        ("select * from a, b where a.x = b.y and b.d > 0", set()),      # a filter
+        ("select * from a, b where a.x = b.y and b.id <= 12", set()),   # a key range
+        ("select * from a, b where b.y + 0 = a.x", set()),              # an expression
+        ("select * from a, (select * from b) as t where a.x = t.y", set()),  # derived
+    ]
+    for sql, keys in cases:
+        db = join_db()
+        for _ in range(2):  # built, then reused
+            assert_matches_oracle(db, sql)
+            assert set(db._table("b").join_index) == keys, sql
+        assert db._table("a").join_index == {}, sql  # the outermost item never probes
+
+
+def test_an_inner_key_that_raises_stores_no_index():
+    db = join_db()
+    q = parse("select * from a, b where a.x = b.s + 1")  # text arithmetic on b
+    with pytest.raises(EvalError) as first:
+        db.exec_select(q)
+    with pytest.raises(EvalError) as second:
+        db.exec_select(q)
+    assert str(first.value) == str(second.value)
+    assert db._table("b").join_index == {}
+
+
+def test_copies_start_with_an_empty_index():
+    db = join_db()
+    assert_matches_oracle(db, "select * from a, b, c where a.x = b.y and b.y = c.z")
+    assert db._table("b").join_index and db._table("c").join_index
+    for t in ("b", "c"):
+        assert db.clone()._table(t).join_index == {}
+        assert db._table(t).copy().join_index == {}
+
+
+# One long-lived database against a fresh clone (every join index empty):
+# after each write of any value kind, or key-changing raw_mutate, every join
+# runs on both, so each index the writes should have dropped is probed.
+LIVE_DDL = """
+create table p (id integer, x integer, s text, primary key (id));
+create table q (id integer, y integer, s text, d decimal, primary key (id));
+"""
+LIVE_JOINS = [parse(sql) for sql in (
+    "select * from p, q where p.x = q.y",
+    "select * from q, p where q.y = p.x",
+    "select p.id, q.id from p, q where p.s = q.s",
+    "select * from p, q where p.x = q.d",
+    "select * from p, q where q.s = p.x",
+    "select * from p, q where p.x = q.y and p.s = q.s",
+    "select * from p, p as r where p.x = r.id",
+    "select * from p, q, p as r where p.x = q.y and q.id = r.x",
+    "select * from p, q where p.id = q.y and q.id >= 2",
+    "select * from p, q where p.x = q.y + 1",
+)]
+_LIVE_VALUE = st.one_of(
+    st.just(NULL),
+    st.integers(0, 3).map(Value.integer),
+    st.sampled_from(["a", "b", "1"]).map(Value.text),
+    st.sampled_from(["1", "1.0", "2.5"]).map(lambda t: Value.decimal(Decimal(t))),
+)
+_LIVE_TABLE, _LIVE_ID = st.sampled_from("pq"), st.integers(0, 5)
+LIVE_WRITES = st.one_of(
+    st.tuples(st.just("insert"), _LIVE_TABLE, _LIVE_ID, st.lists(_LIVE_VALUE, min_size=3,
+                                                                 max_size=3)),
+    st.tuples(st.just("update"), _LIVE_TABLE, _LIVE_ID, st.integers(1, 3), _LIVE_VALUE),
+    st.tuples(st.just("delete"), _LIVE_TABLE, _LIVE_ID),
+    st.tuples(st.just("raw_mutate"), _LIVE_TABLE, _LIVE_ID, st.booleans(), st.integers(0, 7)),
+)
+
+
+def live_write(db: Database, step):
+    """Apply one write to ``db``; a write its table cannot take is skipped."""
+    kind, table, k, *args = step
+    k = (Value.integer(k),)
+    width = len(db.catalog.get(table).columns)
+    if kind == "insert":
+        if not db.has_row(table, k):
+            db.apply_row_insert(table, (k[0], *args[0], NULL)[:width])
+        return
+    if not db.has_row(table, k):
+        return
+    row = db.get_row(table, k).values
+    if kind == "update":
+        i = min(args[0], width - 1)
+        db.apply_row_update(table, k, row[:i] + (args[1],) + row[i + 1:])
+    elif kind == "delete":
+        db.apply_row_delete(table, k)
+    elif args[0]:  # the primary key, to a key not taken
+        if not db.has_row(table, (Value.integer(args[1]),)):
+            db.raw_mutate(table, k, "id", Value.integer(args[1]))
+    else:  # the column the joins hash on
+        db.raw_mutate(table, k, "x" if table == "p" else "y", Value.integer(args[1] % 4))
+
+
+def live_join(db: Database, q):
+    """What a join released or raised, comparable with ==."""
+    try:
+        return rows_to_raw(db.exec_select(q))
+    except EvalError as exc:
+        return ("EvalError", str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(writes=st.lists(LIVE_WRITES, min_size=1, max_size=16))
+def test_a_long_lived_database_joins_as_a_fresh_clone_does(writes):
+    db = Database()
+    db.load_ddl(LIVE_DDL)
+    db.load_csv("p", io.StringIO("id,x,s\n0,1,a\n1,2,b\n2,1,\n"))
+    db.load_csv("q", io.StringIO("id,y,s,d\n0,1,a,1\n1,,b,2.5\n2,2,a,1.0\n"))
+    for step in [None, *writes]:
+        if step is not None:
+            live_write(db, step)
+        fresh = db.clone()
+        for q in LIVE_JOINS:
+            assert live_join(db, q) == live_join(fresh, q), (step, q)

@@ -6,6 +6,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import verity.storage
 import verity.verifier
 from conftest import make_t123, make_verified, rows_to_raw
 from verity.errors import (
@@ -908,3 +909,53 @@ def test_a_long_lived_verifier_matches_a_fresh_one_at_every_step(steps):
         fresh = Verifier(db.clone(), ledger.clone_in_memory(), "peer-1",
                          clock=lambda: 1_700_000_000)
         assert memo_step(verifier, step) == memo_step(fresh, step), step
+
+
+# --- the join index -------------------------------------------------------------------
+
+LOC_JOIN = ("select o_orderkey, c_custkey from lineitem, orders, customer "
+            "where l_orderkey = o_orderkey and o_custkey = c_custkey "
+            "and l_orderkey >= 100 and l_orderkey <= 103")
+
+
+@pytest.mark.parametrize("table, column", [
+    ("customer", "c_name"),   # not a key: the joined row keeps its place
+    ("orders", "o_custkey"),  # a join key: the order now meets another customer
+])
+def test_a_raw_mutate_after_a_warm_join_index_alerts(fixture_session, table, column):
+    db, _, verifier = fixture_session
+    for _ in range(2):  # the second run joins through the kept hash tables
+        rows, report = verifier.process(LOC_JOIN)
+    assert rows and report.outcome == "verified"
+    assert db._table("orders").join_index and db._table("customer").join_index
+    orderkey, custkey = rows[0]
+    if table == "customer":
+        pk, value = (custkey,), Value.text("someone else")
+    else:
+        pk, value = (orderkey,), Value.integer(custkey.raw % 150 + 1)
+    db.raw_mutate(table, pk, column, value)
+    with pytest.raises(TamperDetected) as exc:
+        verifier.process(LOC_JOIN)
+    assert [(a.table, a.row_id) for a in exc.value.alerts] == [(table, row_id(pk, table))]
+
+
+def test_the_join_index_is_built_once_and_rebuilt_only_for_the_written_table(
+        fixture_session, monkeypatch):
+    db, _, verifier = fixture_session
+    table_of = {len(db.catalog.get(t).columns): t for t in ("orders", "customer")}
+    builds = []
+    hash_rows = verity.storage._hash_rows
+
+    def counted(keys, rows):
+        builds.append(table_of[len(rows[0])])
+        return hash_rows(keys, rows)
+    monkeypatch.setattr(verity.storage, "_hash_rows", counted)
+    for _ in range(3):
+        verifier.process(LOC_JOIN)
+    assert sorted(builds) == ["customer", "orders"]
+    builds.clear()
+    summary, _ = verifier.process("update customer set c_acctbal = 0 where c_custkey = 7")
+    assert summary.rows_affected == 1
+    verifier.process(LOC_JOIN)
+    verifier.process(LOC_JOIN)
+    assert builds == ["customer"]
