@@ -39,7 +39,8 @@ class TableExposure:
     """One base-table occurrence in the wide result.
 
     ``alias_path`` walks from the outermost FROM binding down to the base
-    table's own binding; wide columns [start, stop) hold the table's
+    table's own binding, and ``item`` is the position of that outermost
+    binding in the FROM list; wide columns [start, stop) hold the table's
     attributes in schema order, so ``wide_row[start:stop]`` is its row.
     """
 
@@ -48,6 +49,7 @@ class TableExposure:
     start: int
     stop: int
     tabledef: TableDef
+    item: int
 
 
 @dataclass
@@ -85,12 +87,13 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenS
     mangled: list = []     # per wide position: its name should it collide
     exposures: list = []
     from_items: list = []
-    for item in q.from_items:
+    for j, item in enumerate(q.from_items):
         off = len(refs)
         if isinstance(item, ast.BaseTable):
             td = catalog.get(item.name)
             names = td.column_names()
-            exposures.append(TableExposure(td.name, (item.binding,), off, off + len(names), td))
+            exposures.append(TableExposure(td.name, (item.binding,), off, off + len(names), td,
+                                           j))
             blocks.append((item.binding, [(n, off + i) for i, n in enumerate(names)]))
             mangled += ["__".join((item.binding, td.name, n)) for n in names]
             from_items.append(item)
@@ -98,7 +101,7 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenS
             child = _widen(item.subquery, catalog, as_derived=True)
             exposures += [
                 TableExposure(e.table, (item.alias,) + e.alias_path,
-                              off + e.start, off + e.stop, e.tabledef)
+                              off + e.start, off + e.stop, e.tabledef, j)
                 for e in child.column_map
             ]
             blocks.append((item.alias, [(n, off + b.index) for b, n in child.original_projection]))

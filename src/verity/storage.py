@@ -18,6 +18,11 @@ stored value may have another kind than its column's declared type, and
 compiling never raises: an expression that cannot evaluate raises on the
 first row that evaluates it. The join keeps nested-loop order: rows come out
 by the first item's primary key, then the second's, and so on. No cost model.
+A one-item SELECT hands on the rows it read, so a base table's are its stored
+row objects. A join of two or more items also keeps each joined row's
+why-provenance, the row each item gave to it (``JoinedRows.sources``): the
+verifier checks a base table's stored rows there rather than slicing them
+out of the joined rows.
 
 Each base table keeps its rows in key order, which a mutation keeps by
 bisecting on its row's key. That order is the one access path: when a base
@@ -583,28 +588,54 @@ def _plan(where, scope: Scope, sources: list) -> list[_Step]:
     return steps
 
 
+class JoinedRows(list):
+    """The rows of a join of two or more FROM items, each with its
+    why-provenance: ``sources[j][i]`` is the row FROM item ``j`` gave to row
+    ``i``, so each row is the concatenation of its sources. A base table's
+    source is the stored row object itself, a derived table's is its output
+    row."""
+
+    __slots__ = ("sources",)
+
+    def __init__(self, rows=(), sources: list | None = None):
+        super().__init__(rows)
+        self.sources = sources
+
+
 def _join(steps: list[_Step]) -> list[Row]:
     """Joined rows, in nested-loop order: by the first binding's row order,
-    then the second's, and so on."""
-    joined: list[Row] = [()]
-    for step in steps:
-        rows = step.rows
-        if step.local:
-            rows = list(filter(_all(step.local), rows))
+    then the second's, and so on. One binding's rows come back as they are,
+    in a list the caller must not change; two or more give a ``JoinedRows``."""
+    joined = _filtered(steps[0])
+    if len(steps) == 1:
+        return joined
+    sources = [joined]
+    for step in steps[1:]:
+        rows = _filtered(step) if joined else ()
         if not rows:
-            return []
+            return JoinedRows((), [[] for _ in steps])
         matches = _hash_matches(step, rows) if step.inner_keys else (lambda acc: rows)
         residual = _all(step.residual)
-        out: list[Row] = []
-        for acc in joined:
-            wide = [acc + row for row in matches(acc)]
-            if residual:
-                wide = list(filter(residual, wide))
-            out.extend(wide)
-        if not out:
-            return []
+        out, picked, parents = JoinedRows(), [], []
+        for i, acc in enumerate(joined):
+            for row in matches(acc):
+                wide = acc + row
+                if residual is None or residual(wide):
+                    out.append(wide)
+                    picked.append(row)
+                    parents.append(i)
+        sources = [list(map(col.__getitem__, parents)) for col in sources]
+        sources.append(picked)
         joined = out
+    joined.sources = sources
     return joined
+
+
+def _filtered(step: _Step) -> list[Row]:
+    """The step's rows that pass its local conjuncts."""
+    if step.local:
+        return list(filter(_all(step.local), step.rows))
+    return step.rows
 
 
 def _hash_matches(step: _Step, rows: list[Row]):
@@ -793,6 +824,9 @@ class Database:
         return t.rows, t.verified
 
     def exec_select(self, q: ast.SelectQuery) -> list[Row]:
+        """The rows of ``q``, in order. When ``q`` joins two or more FROM
+        items and outputs each joined row as it is, as the verifier's wide
+        queries do, the list is a ``JoinedRows`` holding their sources."""
         return self._select(q)[1]
 
     def _select(self, q: ast.SelectQuery) -> tuple[list[str], list[Row]]:
@@ -811,7 +845,10 @@ class Database:
         scope = Scope(blocks)
         steps = _plan(q.where, scope, sources)
         names, exprs = _outputs(q.projections, scope)
-        return names, project_rows(exprs, _join(steps), off)
+        joined = _join(steps)
+        if type(joined) is JoinedRows and _positions(exprs) == list(range(off)):
+            return names, joined
+        return names, project_rows(exprs, joined, off)
 
     # verified-pipeline mutations
 
@@ -879,8 +916,8 @@ def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
         aggs = {node: _aggregate(node, rows) for node in aggs}
         base = rows[0] if rows else (NULL,) * width
         return [tuple([compile_expr(e, aggs)(base) for e in exprs])]
-    if all(isinstance(e, ast.BoundCol) for e in exprs):
-        positions = [e.index for e in exprs]
+    positions = _positions(exprs)
+    if positions is not None:
         if positions == list(range(width)):
             return list(rows)
         if len(positions) == 1:
@@ -890,6 +927,13 @@ def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
         return [pick(row) for row in rows]
     outs = [compile_expr(e) for e in exprs]
     return [tuple([f(row) for f in outs]) for row in rows]
+
+
+def _positions(exprs: list) -> list[int] | None:
+    """The positions output expressions pick, or None if one is not a column."""
+    if all(isinstance(e, ast.BoundCol) for e in exprs):
+        return [e.index for e in exprs]
+    return None
 
 
 def _aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:

@@ -8,18 +8,19 @@ item's primary key, then the second's, ...) must agree.
 from __future__ import annotations
 
 import io
+import operator
 import random
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import RandomDbGen, brute_force_select, normalize_raw, rows_to_raw
-from verity import storage
+from verity import sqlast as ast, storage
 from verity.errors import EvalError
 from verity.parser import parse
 from verity.rewriter import change_projection
-from verity.storage import Database, Scope
+from verity.storage import Database, JoinedRows, Scope
 from verity.values import NULL, Value
 
 DDL = """
@@ -201,50 +202,61 @@ def test_scope_resolve_runs_per_statement_not_per_row(monkeypatch):
         assert resolves(10, sql) == resolves(1000, sql), sql
 
 
+def random_equi_join(rng: random.Random, gen: RandomDbGen) -> tuple[Database, str] | None:
+    """A random database from ``gen`` and a ``select *`` equi-join over two
+    or more of its tables, about a quarter of them wrapped as derived tables;
+    None when the database has only one table."""
+    db = gen.make_db(max_tables=3, max_rows=10)
+    tables = db.catalog.names()
+    if len(tables) < 2:
+        return None
+    picked = rng.sample(tables, rng.randint(2, len(tables)))
+    cols = []  # (FROM position, binding, column, key class)
+    from_parts = []
+    for j, t in enumerate(picked):
+        td = db.catalog.get(t)
+        if rng.random() < 0.25:
+            keep = [c.name for c in td.columns]
+            from_parts.append(f"(select {', '.join(keep)} from {t}) as v{j}")
+            binding = f"v{j}"
+        else:
+            from_parts.append(t)
+            binding = t
+        for c in td.columns:
+            cls = "text" if c.type.value == "text" else "num"
+            cols.append((j, binding, c.name, cls))
+    conds = []
+    for j in range(1, len(picked)):
+        inner = [c for c in cols if c[0] == j]
+        outer = [c for c in cols if c[0] < j]
+        _, b1, c1, cls = rng.choice(inner)
+        same = [c for c in outer if c[3] == cls]
+        if not same:
+            continue
+        _, b2, c2, _ = rng.choice(same)
+        lhs, rhs = f"{b1}.{c1}", f"{b2}.{c2}"
+        if cls == "num" and rng.random() < 0.3:
+            rhs += f" + {rng.randint(0, 2)}"
+        conds.append(f"{lhs} = {rhs}" if rng.random() < 0.5 else f"{rhs} = {lhs}")
+    if rng.random() < 0.5:
+        _, b, c, cls = rng.choice(cols)
+        conds.append(f"{b}.{c} <> 'x'" if cls == "text" else f"{b}.{c} >= 1")
+    rng.shuffle(conds)
+    sql = f"select * from {', '.join(from_parts)}"
+    if conds:
+        sql += " where " + " and ".join(conds)
+    return db, sql
+
+
 def test_random_equi_joins_match_oracle():
     rng = random.Random(0x4A01)
     gen = RandomDbGen(seed=0x4A02)
     checked = 0
     for i in range(300):
-        db = gen.make_db(max_tables=3, max_rows=10)
-        tables = db.catalog.names()
-        if len(tables) < 2:
+        case = random_equi_join(rng, gen)
+        if case is None:
             continue
-        picked = rng.sample(tables, rng.randint(2, len(tables)))
-        cols = []  # (FROM position, binding, column, key class)
-        from_parts = []
-        for j, t in enumerate(picked):
-            td = db.catalog.get(t)
-            if rng.random() < 0.25:
-                keep = [c.name for c in td.columns]
-                from_parts.append(f"(select {', '.join(keep)} from {t}) as v{j}")
-                binding = f"v{j}"
-            else:
-                from_parts.append(t)
-                binding = t
-            for c in td.columns:
-                cls = "text" if c.type.value == "text" else "num"
-                cols.append((j, binding, c.name, cls))
-        conds = []
-        for j in range(1, len(picked)):
-            inner = [c for c in cols if c[0] == j]
-            outer = [c for c in cols if c[0] < j]
-            _, b1, c1, cls = rng.choice(inner)
-            same = [c for c in outer if c[3] == cls]
-            if not same:
-                continue
-            _, b2, c2, _ = rng.choice(same)
-            lhs, rhs = f"{b1}.{c1}", f"{b2}.{c2}"
-            if cls == "num" and rng.random() < 0.3:
-                rhs += f" + {rng.randint(0, 2)}"
-            conds.append(f"{lhs} = {rhs}" if rng.random() < 0.5 else f"{rhs} = {lhs}")
-        if rng.random() < 0.5:
-            _, b, c, cls = rng.choice(cols)
-            conds.append(f"{b}.{c} <> 'x'" if cls == "text" else f"{b}.{c} >= 1")
-        rng.shuffle(conds)
-        sql = f"select * from {', '.join(from_parts)}"
-        if conds:
-            sql += " where " + " and ".join(conds)
+        db, sql = case
         q = parse(sql)
         want = normalize_raw(brute_force_select(db, q))
         for run in ("cold", "warm"):  # the second run reuses the join index
@@ -252,6 +264,33 @@ def test_random_equi_joins_match_oracle():
             assert got == want, f"case {i} ({run}): {sql}"
         checked += bool(want)
     assert checked >= 50  # cases that select something
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_joined_row_is_its_sources_and_a_base_source_is_the_stored_row(seed):
+    case = random_equi_join(random.Random(seed), RandomDbGen(seed))
+    assume(case is not None)
+    db, sql = case
+    q = parse(sql)
+    for _ in ("cold", "warm"):  # the second run reuses the join index
+        rows = db.exec_select(q)
+        assert type(rows) is JoinedRows and len(rows.sources) == len(q.from_items)
+        assert all(len(col) == len(rows) for col in rows.sources)
+        assert list(rows) == [sum(srcs, ()) for srcs in zip(*rows.sources)]
+        for item, col in zip(q.from_items, rows.sources):
+            if isinstance(item, ast.BaseTable):
+                td = db.catalog.get(item.name)
+                assert all(db.get_row(td.name, td.key(row)).values is row for row in col)
+            else:
+                outputs = db.exec_select(item.subquery)
+                assert all(row in outputs for row in col)
+    for table in db.catalog.names():  # one FROM item: its stored rows, as they are
+        for where in ("", f" where k{table[3:]} >= 10"):
+            rows = db.exec_select(parse(f"select * from {table}{where}"))
+            stored = [row for row in db.rows_of(table) if not where or row[0].raw >= 10]
+            assert type(rows) is list and len(rows) == len(stored)
+            assert all(map(operator.is_, rows, stored))
 
 
 # --- the join index ------------------------------------------------------------------

@@ -741,9 +741,11 @@ def test_tamper_in_an_update_subquery_reports_what_was_checked_when_raised():
 def memo_db():
     db = Database()
     db.load_ddl("create table c (k integer, name text, primary key (k));"
-                "create table o (k integer, ck integer, v integer, primary key (k))")
+                "create table o (k integer, ck integer, v integer, primary key (k));"
+                "create table l (k integer, ok integer, q integer, primary key (k))")
     db.load_csv("c", io.StringIO("k,name\n1,ann\n2,bob\n3,cy\n"))
     db.load_csv("o", io.StringIO("k,ck,v\n10,1,5\n11,1,6\n12,2,7\n13,3,8\n"))
+    db.load_csv("l", io.StringIO("k,ok,q\n100,10,1\n101,10,2\n102,12,3\n103,13,4\n"))
     return db
 
 
@@ -764,7 +766,17 @@ MEMO_QUERIES = [
     "select * from o",
     "select o.v, c.name from o, c where o.ck = c.k",
     "select r.name from (select k, name from c where k > 1) as r",
+    "select l.q, o.v, c.name from l, o, c where l.ok = o.k and o.ck = c.k",
+    "select * from o, (select k, name from c) as r where o.ck = r.k",  # base and derived
+    "select r.name, o.v from (select k, name from c where k > 1) as r, o where o.ck = r.k",
+    "select a.k, b.k from o as a, o as b where a.ck = b.ck",
 ]
+# per table: the key, column, tampered value and stored value a raw_mutate swaps
+MEMO_TAMPER = {
+    "c": (2, "name", Value.text("bo"), Value.text("bob")),
+    "o": (12, "v", Value.integer(70), Value.integer(7)),
+    "l": (102, "q", Value.integer(30), Value.integer(3)),
+}
 
 
 @pytest.mark.parametrize("sql", MEMO_QUERIES)
@@ -785,25 +797,28 @@ def test_a_repeated_select_reuses_the_verified_rows(monkeypatch, sql):
                                                            first.tuples_seen)
 
 
-@pytest.mark.parametrize("sql", MEMO_QUERIES[:2])
+@pytest.mark.parametrize("sql", MEMO_QUERIES)
 def test_a_warm_verifier_alerts_on_a_raw_mutate_as_a_fresh_one_does(sql):
     db = memo_db()
     ledger, verifier = make_verified(db)
-    clean_rows, _ = verifier.process(sql)
-    db.raw_mutate("o", (Value.integer(12),), "v", Value.integer(70))
-    fresh = Verifier(db.clone(), ledger.clone_in_memory(), "peer-1",
-                     clock=lambda: 1_700_000_000)
-    with pytest.raises(TamperDetected) as expected:
-        fresh.process(sql)
-    for _ in range(2):  # a tampered row is never memoised: it alerts every time
-        with pytest.raises(TamperDetected) as warm:
-            verifier.process(sql)
-        assert warm.value.alerts == expected.value.alerts
-        assert [(a.table, a.expected != a.computed) for a in warm.value.alerts] == [("o", True)]
-    db.raw_mutate("o", (Value.integer(12),), "v", Value.integer(7))
-    rows, report = verifier.process(sql)
-    assert rows == clean_rows
-    assert report.tuples_fingerprinted == 1  # only the restored row is new
+    clean_rows, clean = verifier.process(sql)
+    for table in clean.tables_touched:
+        key, column, tampered, stored = MEMO_TAMPER[table]
+        db.raw_mutate(table, (Value.integer(key),), column, tampered)
+        fresh = Verifier(db.clone(), ledger.clone_in_memory(), "peer-1",
+                         clock=lambda: 1_700_000_000)
+        with pytest.raises(TamperDetected) as expected:
+            fresh.process(sql)
+        for _ in range(2):  # a tampered row is never memoised: it alerts every time
+            with pytest.raises(TamperDetected) as warm:
+                verifier.process(sql)
+            assert warm.value.alerts == expected.value.alerts
+            assert [(a.table, a.expected != a.computed)
+                    for a in warm.value.alerts] == [(table, True)]
+        db.raw_mutate(table, (Value.integer(key),), column, stored)
+        rows, report = verifier.process(sql)
+        assert rows == clean_rows
+        assert report.tuples_fingerprinted == 1  # only the restored row is new
     assert verifier.audit_full() == ([], [])
 
 
@@ -959,3 +974,39 @@ def test_the_join_index_is_built_once_and_rebuilt_only_for_the_written_table(
     verifier.process(LOC_JOIN)
     verifier.process(LOC_JOIN)
     assert builds == ["customer"]
+
+
+# --- the tuple check on joins: counts, not times ---------------------------------------
+
+# The join shapes of perfbench's read workload, with (tuples seen, tuples
+# checked) on the SF 0.001 fixture.
+READ_JOINS = [
+    ("select * from supplier, nation where s_nationkey = n_nationkey", 20, 18),
+    ("select * from orders, customer where o_custkey = c_custkey", 3000, 1650),
+    ("select * from orders, customer where o_custkey = c_custkey "
+     "and o_orderkey >= 100 and o_orderkey <= 600", 1002, 645),
+    ("select * from customer, nation, region "
+     "where c_nationkey = n_nationkey and n_regionkey = r_regionkey", 450, 180),
+    ("select * from lineitem, orders, customer "
+     "where l_orderkey = o_orderkey and o_custkey = c_custkey "
+     "and l_orderkey >= 100 and l_orderkey <= 110", 174, 80),
+]
+
+
+@pytest.mark.parametrize("sql, seen, checked", READ_JOINS)
+def test_a_warm_join_hashes_nothing_and_looks_each_row_up_once(
+        fixture_session, monkeypatch, sql, seen, checked):
+    _, ledger, verifier = fixture_session
+    lookups = []
+    get_current = ledger.get_current
+    monkeypatch.setattr(ledger, "get_current", lambda rid: lookups.append(rid) or
+                        get_current(rid))
+    calls = count_hashing(monkeypatch)
+    for run, hashed in (("cold", checked), ("warm", 0)):  # a clone starts with no memo
+        lookups.clear()
+        calls.update(fingerprint=0, row_id=0)
+        _, report = verifier.process(sql)
+        assert (report.tuples_seen, report.tuples_checked) == (seen, checked), run
+        assert sorted(lookups) == sorted(report.checked), run
+        assert calls == {"fingerprint": hashed, "row_id": hashed}, run
+        assert report.tuples_fingerprinted == hashed, run
