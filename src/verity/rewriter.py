@@ -36,20 +36,15 @@ from .storage import Catalog, Row, Scope, TableDef, map_columns, project_rows
 
 @dataclass(frozen=True)
 class TableExposure:
-    """One base-table occurrence in the wide result.
-
-    ``alias_path`` walks from the outermost FROM binding down to the base
-    table's own binding, and ``item`` is the position of that outermost
-    binding in the FROM list; wide columns [start, stop) hold the table's
-    attributes in schema order, so ``wide_row[start:stop]`` is its row.
-    """
+    """One base-table occurrence in the wide result, in FROM order with a
+    derived table's occurrences in its place: wide columns [start, stop)
+    hold the table's attributes in schema order, those of the stored row
+    that ``storage.SourcedRows.sources`` names for the occurrence."""
 
     table: str
-    alias_path: tuple[str, ...]
     start: int
     stop: int
     tabledef: TableDef
-    item: int
 
 
 @dataclass
@@ -87,23 +82,19 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenS
     mangled: list = []     # per wide position: its name should it collide
     exposures: list = []
     from_items: list = []
-    for j, item in enumerate(q.from_items):
+    for item in q.from_items:
         off = len(refs)
         if isinstance(item, ast.BaseTable):
             td = catalog.get(item.name)
             names = td.column_names()
-            exposures.append(TableExposure(td.name, (item.binding,), off, off + len(names), td,
-                                           j))
+            exposures.append(TableExposure(td.name, off, off + len(names), td))
             blocks.append((item.binding, [(n, off + i) for i, n in enumerate(names)]))
             mangled += ["__".join((item.binding, td.name, n)) for n in names]
             from_items.append(item)
         else:
             child = _widen(item.subquery, catalog, as_derived=True)
-            exposures += [
-                TableExposure(e.table, (item.alias,) + e.alias_path,
-                              off + e.start, off + e.stop, e.tabledef, j)
-                for e in child.column_map
-            ]
+            exposures += [TableExposure(e.table, off + e.start, off + e.stop, e.tabledef)
+                          for e in child.column_map]
             blocks.append((item.alias, [(n, off + b.index) for b, n in child.original_projection]))
             names = [ast.output_name(p, i) for i, p in enumerate(child.wide_query.projections)]
             mangled += [f"{item.alias}__{n}" for n in names]

@@ -18,11 +18,9 @@ stored value may have another kind than its column's declared type, and
 compiling never raises: an expression that cannot evaluate raises on the
 first row that evaluates it. The join keeps nested-loop order: rows come out
 by the first item's primary key, then the second's, and so on. No cost model.
-A one-item SELECT hands on the rows it read, so a base table's are its stored
-row objects. A join of two or more items also keeps each joined row's
-why-provenance, the row each item gave to it (``JoinedRows.sources``): the
-verifier checks a base table's stored rows there rather than slicing them
-out of the joined rows.
+A SELECT that does not aggregate also returns each row's why-provenance
+(``SourcedRows.sources``): the stored row object each base-table occurrence,
+derived tables' included, gave to it. The verifier checks those stored rows.
 
 Each base table keeps its rows in key order, which a mutation keeps by
 bisecting on its row's key. That order is the one access path: when a base
@@ -588,47 +586,53 @@ def _plan(where, scope: Scope, sources: list) -> list[_Step]:
     return steps
 
 
-class JoinedRows(list):
-    """The rows of a join of two or more FROM items, each with its
-    why-provenance: ``sources[j][i]`` is the row FROM item ``j`` gave to row
-    ``i``, so each row is the concatenation of its sources. A base table's
-    source is the stored row object itself, a derived table's is its output
-    row."""
+class SourcedRows(list):
+    """A SELECT's rows with their why-provenance: ``sources[k][i]`` is the
+    stored row object that base-table occurrence ``k`` gave to row ``i``.
+    Occurrences are numbered in FROM order, a derived table's flattened in
+    its place: the order of the rewriter's ``column_map``."""
 
     __slots__ = ("sources",)
 
-    def __init__(self, rows=(), sources: list | None = None):
+    def __init__(self, rows, sources: list[list[Row]]):
         super().__init__(rows)
         self.sources = sources
 
 
-def _join(steps: list[_Step]) -> list[Row]:
-    """Joined rows, in nested-loop order: by the first binding's row order,
-    then the second's, and so on. One binding's rows come back as they are,
-    in a list the caller must not change; two or more give a ``JoinedRows``."""
+def _join(steps: list[_Step]) -> tuple[list[Row], list[list[Row]]]:
+    """``(rows, picked)``: the joined rows, in nested-loop order (by the
+    first binding's row order, then the second's, and so on), and per
+    binding the row it gave to each, so each row is the concatenation of
+    its picked rows. One binding's rows come back as they are, in a list the
+    caller must not change."""
     joined = _filtered(steps[0])
-    if len(steps) == 1:
-        return joined
-    sources = [joined]
+    picked = [joined]
     for step in steps[1:]:
         rows = _filtered(step) if joined else ()
         if not rows:
-            return JoinedRows((), [[] for _ in steps])
+            return [], [[] for _ in steps]
         matches = _hash_matches(step, rows) if step.inner_keys else (lambda acc: rows)
         residual = _all(step.residual)
-        out, picked, parents = JoinedRows(), [], []
+        out, mine, parents = [], [], []
         for i, acc in enumerate(joined):
             for row in matches(acc):
                 wide = acc + row
                 if residual is None or residual(wide):
                     out.append(wide)
-                    picked.append(row)
+                    mine.append(row)
                     parents.append(i)
-        sources = [list(map(col.__getitem__, parents)) for col in sources]
-        sources.append(picked)
+        picked = [list(map(col.__getitem__, parents)) for col in picked]
+        picked.append(mine)
         joined = out
-    joined.sources = sources
-    return joined
+    return joined, picked
+
+
+def _trace(rows: SourcedRows, picked: list[Row]) -> list[list[Row]]:
+    """The sources of ``picked``, rows of a derived table's ``rows``: each of
+    those is a distinct object, found by its id."""
+    at = {id(row): i for i, row in enumerate(rows)}
+    pos = [at[id(row)] for row in picked]
+    return [list(map(col.__getitem__, pos)) for col in rows.sources]
 
 
 def _filtered(step: _Step) -> list[Row]:
@@ -816,22 +820,21 @@ class Database:
     def has_row(self, table: str, pk: tuple) -> bool:
         return tuple(pk) in self._table(table).rows
 
-    def verified_rows(self, table: str) -> tuple[dict[tuple, Row], dict[int, tuple]]:
-        """``(rows by primary key, verified)`` of ``table``: the stored rows,
-        and its memo of what the ledger last confirmed for them (see
-        ``_Table``), which the verifier reads and fills."""
-        t = self._table(table)
-        return t.rows, t.verified
+    def verified_rows(self, table: str) -> dict[int, tuple]:
+        """``table``'s memo of what the ledger last confirmed for its stored
+        rows (see ``_Table``), which the verifier reads and fills."""
+        return self._table(table).verified
 
     def exec_select(self, q: ast.SelectQuery) -> list[Row]:
-        """The rows of ``q``, in order. When ``q`` joins two or more FROM
-        items and outputs each joined row as it is, as the verifier's wide
-        queries do, the list is a ``JoinedRows`` holding their sources."""
+        """The rows of ``q``, in order. Unless ``q`` aggregates, they are
+        ``SourcedRows``, holding the stored rows behind each."""
         return self._select(q)[1]
 
     def _select(self, q: ast.SelectQuery) -> tuple[list[str], list[Row]]:
         """Output names and rows of ``q``. Derived tables run first; then
-        every name is bound once, before the join touches a row."""
+        every name is bound once, before the join touches a row. A SELECT
+        that aggregates, or reads a derived table that does, carries no
+        sources."""
         blocks, sources, off = [], [], 0
         for item in q.from_items:
             if isinstance(item, ast.BaseTable):
@@ -845,10 +848,14 @@ class Database:
         scope = Scope(blocks)
         steps = _plan(q.where, scope, sources)
         names, exprs = _outputs(q.projections, scope)
-        joined = _join(steps)
-        if type(joined) is JoinedRows and _positions(exprs) == list(range(off)):
-            return names, joined
-        return names, project_rows(exprs, joined, off)
+        joined, picked = _join(steps)
+        outputs = _row_outputs(exprs, joined, off)
+        if outputs is None or not all(isinstance(s, (_Table, SourcedRows)) for s in sources):
+            return names, project_rows(exprs, joined, off)
+        occurrences = []
+        for source, rows in zip(sources, picked):
+            occurrences += [rows] if isinstance(source, _Table) else _trace(source, rows)
+        return names, SourcedRows(outputs, occurrences)
 
     # verified-pipeline mutations
 
@@ -908,25 +915,33 @@ def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
 
     Bare aggregates collapse the result to one row, whose non-aggregate
     expressions take their values from the first row (NULL when there is
-    none). Plain column outputs are picked by position; a row that already
-    is its output is passed on as it is.
+    none).
     """
+    outputs = _row_outputs(exprs, rows, width)
+    if outputs is not None:
+        return list(outputs)
     aggs = dict.fromkeys(node for e in exprs for node in ast.aggregates(e))
-    if aggs:
-        aggs = {node: _aggregate(node, rows) for node in aggs}
-        base = rows[0] if rows else (NULL,) * width
-        return [tuple([compile_expr(e, aggs)(base) for e in exprs])]
+    aggs = {node: _aggregate(node, rows) for node in aggs}
+    base = rows[0] if rows else (NULL,) * width
+    return [tuple([compile_expr(e, aggs)(base) for e in exprs])]
+
+
+def _row_outputs(exprs: list, rows: list[Row], width: int):
+    """The output rows of ``exprs``, one per row, in order, or None when
+    they aggregate. Plain column outputs are picked by position; when each
+    row already is its output, ``rows`` itself is returned."""
     positions = _positions(exprs)
-    if positions is not None:
-        if positions == list(range(width)):
-            return list(rows)
-        if len(positions) == 1:
-            i = positions[0]
-            return [(row[i],) for row in rows]
-        pick = operator.itemgetter(*positions)
-        return [pick(row) for row in rows]
-    outs = [compile_expr(e) for e in exprs]
-    return [tuple([f(row) for f in outs]) for row in rows]
+    if positions is None:
+        if any(any(ast.aggregates(e)) for e in exprs):
+            return None
+        outs = [compile_expr(e) for e in exprs]
+        return (tuple([f(row) for f in outs]) for row in rows)
+    if positions == list(range(width)):
+        return rows
+    if len(positions) == 1:
+        i = positions[0]
+        return [(row[i],) for row in rows]
+    return map(operator.itemgetter(*positions), rows)
 
 
 def _positions(exprs: list) -> list[int] | None:

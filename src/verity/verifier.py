@@ -23,12 +23,10 @@ id and fingerprint only when the stored row behind it is not in its table's
 ``verified`` memo: the pair the ledger last confirmed for that very row
 object. A stored row is immutable and any write, tampering included, stores
 a new tuple object with no entry, so reuse returns exactly what hashing the
-row again would, and the ledger lookup still decides. Scans and joins hand
-the check the stored row objects they read (a join through
-``storage.JoinedRows.sources``, the rows each FROM item gave to each joined
-row), so each tuple's memo entry is found by its id. Only a table inside a
-derived table is checked on a slice of the wide rows, a new tuple matched
-to its stored row by key and by the identity of its values.
+row again would, and the ledger lookup still decides. The wide query hands
+the check, per base-table occurrence, the stored row objects behind its
+rows (``storage.SourcedRows.sources``), so each tuple's memo entry is found
+by its id.
 
 Callers must not run two verified operations concurrently: the pipeline is
 an externally-serialized facade, which is also what closes the
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import datetime
 import hashlib
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -59,7 +56,7 @@ from .ledger import SimulatedLedger, TxDraft, TxKind
 from .parser import parse
 from .rewriter import change_projection, project_results
 from .sqlast import QueryKind, classify
-from .storage import Database, JoinedRows, Scope, TableDef, compile_expr
+from .storage import Database, Scope, TableDef, compile_expr
 from .values import NULL, coerce
 
 PHASES = ("parse", "rewrite", "db_exec", "ledger_lookup", "ledger_commit")
@@ -196,16 +193,11 @@ class Verifier:
             rw = change_projection(q, self.db.catalog)
         with _Timer(report, "db_exec"):
             wide_rows = self.db.exec_select(rw.wide_query)
-        sources = wide_rows.sources if type(wide_rows) is JoinedRows else None
         with _Timer(report, "ledger_lookup"):
             row_ids = []
-            for exposure in rw.column_map:
+            for exposure, rows in zip(rw.column_map, wide_rows.sources):
                 report.touch_table(exposure.table)
-                if sources is not None and len(exposure.alias_path) == 1:
-                    rows, start = sources[exposure.item], 0  # the stored rows
-                else:
-                    rows, start = wide_rows, exposure.start
-                row_ids.append(self._verify_rows(report, exposure.tabledef, rows, start))
+                row_ids.append(self._verify_rows(report, exposure.tabledef, rows))
         if report.alerts:
             report.outcome = "tampered"
             self._log_alerts(report.alerts)
@@ -378,42 +370,28 @@ class Verifier:
 
     # --- helpers ----------------------------------------------------------------
 
-    def _verify_rows(self, report: VerificationReport, td: TableDef, rows: list,
-                     start: int = 0) -> list[str]:
+    def _verify_rows(self, report: VerificationReport, td: TableDef, rows: list) -> list[str]:
         """The one tuple check; returns the row id of each of ``rows``, in
-        order. Each of ``rows`` is a row of table ``td``, or a wider row
-        holding one at ``[start, start + width)``; each distinct row id
-        among them is checked once per statement (``report.checked`` keeps
-        its fingerprint) by a ledger lookup. A fingerprint the ledger does
-        not hold as that row's active one adds an alert naming what the
-        ledger expected: "ABSENT", "DELETED" or its fingerprint.
+        order. Each of ``rows`` is a stored row object of table ``td``, as a
+        SELECT's ``SourcedRows.sources`` and the full audit hand them over.
+        Each distinct row id among them is checked once per statement
+        (``report.checked`` keeps its fingerprint) by a ledger lookup. A
+        fingerprint the ledger does not hold as that row's active one adds
+        an alert naming what the ledger expected: "ABSENT", "DELETED" or its
+        fingerprint.
 
-        Scans, joins (their ``JoinedRows.sources``) and the full audit hand
-        over stored row objects, so the row id and fingerprint of each come
-        from the table's ``verified`` memo by its id. A derived table's
-        exposure hands over wide rows, whose slice is a new tuple: it takes
-        the entry of the stored row under its key when it holds that row's
-        very value objects. Otherwise both are computed, and the entry is
-        stored once the ledger confirms the fingerprint as the row's active
-        one."""
-        stop = start + len(td.columns)
+        A row's id and fingerprint come from the table's ``verified`` memo
+        by the row object's id. Otherwise both are computed, and the entry
+        is stored once the ledger confirms the fingerprint as the row's
+        active one."""
         checked = report.checked
-        stored_rows, verified = self.db.verified_rows(td.name)
+        verified = self.db.verified_rows(td.name)
         report.tuples_seen += len(rows)
-        if start or (rows and len(rows[0]) != stop):
-            rows = map(operator.itemgetter(slice(start, stop)), rows)
         rids = []
         for row in rows:
             entry = verified.get(id(row))  # an entry holds its row: this one
             if entry is None:
-                pk = td.key(row)
-                stored = stored_rows.get(pk)
-                if stored is not None and all(map(operator.is_, stored, row)):
-                    entry = verified.get(id(stored))
-                else:
-                    stored = None
-            if entry is None:
-                rid = row_id(pk, td.name)
+                rid = row_id(td.key(row), td.name)
             else:
                 _, rid, fp = entry
             rids.append(rid)
@@ -431,8 +409,8 @@ class Verifier:
             elif rec.fingerprint != fp:
                 expected = rec.fingerprint
             else:
-                if entry is None and stored is not None:
-                    verified[id(stored)] = (stored, rec.row_id, rec.fingerprint)
+                if entry is None:
+                    verified[id(row)] = (row, rec.row_id, rec.fingerprint)
                 continue
             report.alerts.append(TamperAlert(rid, td.name, expected, fp,
                                              report.query_hash, self.clock()))

@@ -20,7 +20,7 @@ from verity import sqlast as ast, storage
 from verity.errors import EvalError
 from verity.parser import parse
 from verity.rewriter import change_projection
-from verity.storage import Database, JoinedRows, Scope
+from verity.storage import Database, Scope, SourcedRows
 from verity.values import NULL, Value
 
 DDL = """
@@ -266,6 +266,68 @@ def test_random_equi_joins_match_oracle():
     assert checked >= 50  # cases that select something
 
 
+def random_derived_join(rng: random.Random, gen: RandomDbGen) -> tuple[Database, str]:
+    """A random database from ``gen`` and a ``select *`` over one to three
+    FROM items, each a base table or a derived table: derived tables nest up
+    to two deep, join one or two items (often one table with itself), read
+    plain and arithmetic outputs of their items, and may filter."""
+    db = gen.make_db(max_tables=3, max_rows=6)
+    tables = db.catalog.names()
+    fresh = iter(range(100))  # a new number per FROM item, for its binding
+
+    def equi_join(parts) -> list[str]:
+        conds = []
+        for j in range(1, len(parts)):
+            inner = [(parts[j][1], c, cls) for c, cls in parts[j][2]]
+            same = [(b, c) for _, b, cols in parts[:j] for c, cls in cols
+                    if cls == inner[0][2]]
+            if same:
+                b1, c1 = rng.choice(same)
+                conds.append(f"{inner[0][0]}.{inner[0][1]} = {b1}.{c1}")
+        return conds
+
+    def from_item(depth: int) -> tuple[str, str, list[tuple[str, str]]]:
+        """(FROM text, binding, [(column, key class), ...])"""
+        n = next(fresh)
+        if depth == 2 or rng.random() < 0.4:
+            td = db.catalog.get(rng.choice(tables))
+            return (f"{td.name} as b{n}", f"b{n}",
+                    [(c.name, "text" if c.type.value == "text" else "num") for c in td.columns])
+        parts = [from_item(depth + 1) for _ in range(rng.randint(1, 2))]
+        cols = [(b, c, cls) for _, b, cs in parts for c, cls in cs]
+        conds = equi_join(parts)
+        if rng.random() < 0.3:
+            b, c, cls = rng.choice(cols)
+            conds.append(f"{b}.{c} <> 'x'" if cls == "text" else f"{b}.{c} >= 1")
+        items, out = [], []
+        for i, (b, c, cls) in enumerate(rng.sample(cols, rng.randint(1, len(cols)))):
+            expr = f"{b}.{c} * 2 + 1" if cls == "num" and rng.random() < 0.3 else f"{b}.{c}"
+            items.append(f"{expr} as o{n}_{i}")
+            out.append((f"o{n}_{i}", cls))
+        where = " where " + " and ".join(conds) if conds else ""
+        sql = f"(select {', '.join(items)} from {', '.join(p[0] for p in parts)}{where})"
+        return f"{sql} as v{n}", f"v{n}", out
+
+    parts = [from_item(0) for _ in range(rng.randint(1, 3))]
+    conds = equi_join(parts)
+    where = " where " + " and ".join(conds) if conds else ""
+    return db, f"select * from {', '.join(p[0] for p in parts)}{where}"
+
+
+def assert_sources_are_the_stored_rows(db: Database, q: ast.SelectQuery):
+    """The wide query of ``q`` carries, per exposure of its column map, the
+    stored row behind each wide row, whose value objects its columns hold."""
+    rw = change_projection(q, db.catalog)
+    wide = db.exec_select(rw.wide_query)
+    assert type(wide) is SourcedRows and len(wide.sources) == len(rw.column_map)
+    for e, col in zip(rw.column_map, wide.sources):
+        assert len(col) == len(wide)
+        for row, src in zip(wide, col):
+            assert db.get_row(e.table, e.tabledef.key(src)).values is src
+            assert len(src) == e.stop - e.start
+            assert all(map(operator.is_, row[e.start:e.stop], src))
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_a_joined_row_is_its_sources_and_a_base_source_is_the_stored_row(seed):
@@ -273,24 +335,57 @@ def test_a_joined_row_is_its_sources_and_a_base_source_is_the_stored_row(seed):
     assume(case is not None)
     db, sql = case
     q = parse(sql)
+    exposures = change_projection(q, db.catalog).column_map
     for _ in ("cold", "warm"):  # the second run reuses the join index
         rows = db.exec_select(q)
-        assert type(rows) is JoinedRows and len(rows.sources) == len(q.from_items)
+        assert type(rows) is SourcedRows and len(rows.sources) == len(q.from_items)
         assert all(len(col) == len(rows) for col in rows.sources)
         assert list(rows) == [sum(srcs, ()) for srcs in zip(*rows.sources)]
-        for item, col in zip(q.from_items, rows.sources):
-            if isinstance(item, ast.BaseTable):
-                td = db.catalog.get(item.name)
-                assert all(db.get_row(td.name, td.key(row)).values is row for row in col)
-            else:
-                outputs = db.exec_select(item.subquery)
-                assert all(row in outputs for row in col)
+        for e, col in zip(exposures, rows.sources):
+            assert all(db.get_row(e.table, e.tabledef.key(row)).values is row for row in col)
+        assert_sources_are_the_stored_rows(db, q)
     for table in db.catalog.names():  # one FROM item: its stored rows, as they are
         for where in ("", f" where k{table[3:]} >= 10"):
             rows = db.exec_select(parse(f"select * from {table}{where}"))
             stored = [row for row in db.rows_of(table) if not where or row[0].raw >= 10]
-            assert type(rows) is list and len(rows) == len(stored)
+            assert type(rows) is SourcedRows and len(rows) == len(stored)
             assert all(map(operator.is_, rows, stored))
+            assert len(rows.sources) == 1 and all(map(operator.is_, rows.sources[0], stored))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_derived_tables_sources_are_the_stored_rows_behind_it(seed):
+    db, sql = random_derived_join(random.Random(seed), RandomDbGen(seed))
+    q = parse(sql)
+    want = normalize_raw(brute_force_select(db, q))
+    for _ in ("cold", "warm"):  # the second run reuses the join index
+        rows = db.exec_select(q)
+        assert rows_to_raw(rows) == want, sql
+        assert len(rows.sources) == len(change_projection(q, db.catalog).column_map)
+        assert_sources_are_the_stored_rows(db, q)
+
+
+def test_sources_cover_each_derived_table_form():
+    db = join_db()
+    for sql in (
+        "select * from (select * from (select id, x from a) as r) as s",  # nested
+        "select * from (select a.id, b.y from a, b where a.x = b.y) as r, c "
+        "where c.z = r.y",                                                 # over a join
+        "select * from (select a.x * 2 + 1 as e, a.d from a where a.id > 1) as r",
+        "select * from (select p.id, q.id as qid from a as p, a as q "
+        "where p.x = q.x) as r",                                           # a self-join
+    ):
+        q = parse(sql)
+        assert_matches_oracle(db, sql)
+        assert_sources_are_the_stored_rows(db, q)
+
+
+def test_an_aggregating_select_carries_no_sources():
+    db = join_db()
+    for sql in ("select count(*) from a",
+                "select * from (select count(*) from a) as r, b"):
+        assert type(db.exec_select(parse(sql))) is list, sql
 
 
 # --- the join index ------------------------------------------------------------------

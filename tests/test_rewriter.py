@@ -50,9 +50,9 @@ def test_golden_nested_rewrite():
     inner = rw.wide_query.from_items[1].subquery
     assert projection_pairs(inner) == [("t2", "a"), ("t2", "s"), ("t2", "b")]
     assert rw.wide_query.where == q.where
-    # the column map covers the nested base table through its alias path
-    assert [(e.table, e.alias_path) for e in rw.column_map] == [
-        ("t1", ("t1",)), ("t2", ("r1", "t2")), ("t3", ("t3",)),
+    # the column map covers the nested base table in its FROM item's place
+    assert [(e.table, e.start, e.stop) for e in rw.column_map] == [
+        ("t1", 0, 3), ("t2", 3, 6), ("t3", 6, 9),
     ]
 
 

@@ -770,6 +770,10 @@ MEMO_QUERIES = [
     "select * from o, (select k, name from c) as r where o.ck = r.k",  # base and derived
     "select r.name, o.v from (select k, name from c where k > 1) as r, o where o.ck = r.k",
     "select a.k, b.k from o as a, o as b where a.ck = b.ck",
+    "select r.q, r.name from (select l.q, c.name from l, o, c "  # derived over a join
+    "where l.ok = o.k and o.ck = c.k) as r",
+    "select s.name, s.v2 from (select r.name, r.v * 2 as v2 from "  # nested derived
+    "(select c.name, o.v from c, o where o.ck = c.k) as r where r.v > 5) as s",
 ]
 # per table: the key, column, tampered value and stored value a raw_mutate swaps
 MEMO_TAMPER = {
@@ -843,10 +847,14 @@ def test_the_memo_holds_only_stored_rows_and_a_clone_starts_without_it():
     db = memo_db()
     _, verifier = make_verified(db)
     verifier.process("select * from o")
-    stored, verified = db.verified_rows("o")
+    verifier.process("select r.v from (select o.v, c.name from o, c where o.ck = c.k) as r")
+    stored, verified = db._table("o").rows, db.verified_rows("o")
     assert len(verified) == len(stored) == 4
     assert all(verified[id(row)][0] is row for row in stored.values())
-    assert db.clone().verified_rows("o")[1] == {}
+    c_verified = db.verified_rows("c")  # filled through the derived table
+    assert len(c_verified) == 3
+    assert all(c_verified[id(row)][0] is row for row in db.rows_of("c"))
+    assert db.clone().verified_rows("o") == {}
     verifier.process("update o set v = 0 where k = 10")  # stores a new, unchecked row
     verifier.process("delete from o where k = 11")
     assert len(stored) == 3
