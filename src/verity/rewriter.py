@@ -9,9 +9,10 @@ row (``original_projection``).
 
 A widened derived table exposes every column of its underlying base tables.
 Exposed names that would collide (a table joined to itself inside one
-derived table, say) are disambiguated as ``alias__table__column``. Original
-projection items that are expressions stay addressable by the enclosing
-query: they are re-appended, aliased, after the base columns.
+derived table, say) are renamed: each column that shares its name takes the
+first ``name__k`` (k = 0, 1, ...) that no column of that wide projection
+has. Original projection items that are expressions stay addressable by the
+enclosing query: they are re-appended, aliased, after the base columns.
 
 Aggregates are supported only in the outermost projection; the wide query
 never collapses rows, which is exactly what lets every contributing base
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 
 from . import sqlast as ast
 from .errors import UnsupportedFeature
@@ -79,7 +81,6 @@ def project_results(wide_rows: list[Row], rw: RewrittenSelect) -> list[Row]:
 def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenSelect:
     blocks: list = []      # the Scope blocks of the names the user's query sees
     refs: list = []        # per wide position: the ColumnRef that reads it
-    mangled: list = []     # per wide position: its name should it collide
     exposures: list = []
     from_items: list = []
     for item in q.from_items:
@@ -89,7 +90,6 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenS
             names = td.column_names()
             exposures.append(TableExposure(td.name, off, off + len(names), td))
             blocks.append((item.binding, [(n, off + i) for i, n in enumerate(names)]))
-            mangled += ["__".join((item.binding, td.name, n)) for n in names]
             from_items.append(item)
         else:
             child = _widen(item.subquery, catalog, as_derived=True)
@@ -97,7 +97,6 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenS
                           for e in child.column_map]
             blocks.append((item.alias, [(n, off + b.index) for b, n in child.original_projection]))
             names = [ast.output_name(p, i) for i, p in enumerate(child.wide_query.projections)]
-            mangled += [f"{item.alias}__{n}" for n in names]
             from_items.append(ast.DerivedTable(child.wide_query, item.alias))
         refs += [ast.ColumnRef(item.binding, n) for n in names]
     scope = Scope(blocks)
@@ -125,14 +124,17 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenS
         else:
             outputs.append((scope.bind(item.expr), name))
 
-    # colliding output names get renamed; only an enclosing query sees them
-    counts = Counter([r.column for r in refs] + [n for _, n in extras] if as_derived else [])
-    wide_items = [
-        ast.ProjectionItem(ref, m if counts[ref.column] > 1 else None)
-        for ref, m in zip(refs, mangled)
-    ] + [
-        ast.ProjectionItem(e, f"{n}__x{ei}" if counts[n] > 1 else n)
-        for ei, (e, n) in enumerate(extras)
-    ]
+    # in derived position, each wide column whose name another one shares
+    # takes the first name__k no wide column has; only an enclosing query
+    # sees these names
+    exprs = refs + [e for e, _ in extras]
+    names = [r.column for r in refs] + [n for _, n in extras]
+    counts, taken = Counter(names), set(names)
+    for i, n in enumerate(names):
+        if as_derived and counts[n] > 1:
+            names[i] = next(m for k in count() if (m := f"{n}__{k}") not in taken)
+            taken.add(names[i])
+    wide_items = [ast.ProjectionItem(e, None if getattr(e, "column", None) == n else n)
+                  for e, n in zip(exprs, names)]
     return RewrittenSelect(ast.SelectQuery(tuple(wide_items), tuple(from_items), where),
                            exposures, outputs)

@@ -22,19 +22,21 @@ A SELECT that does not aggregate also returns each row's why-provenance
 (``SourcedRows.sources``): the stored row object each base-table occurrence,
 derived tables' included, gave to it. The verifier checks those stored rows.
 
-Each base table keeps its rows in key order, which a mutation keeps by
-bisecting on its row's key. That order is the one access path: when a base
-table's leading filters compare the first primary-key column with a literal
-of its comparison class (numeric with numeric, TEXT/DATE with TEXT/DATE;
-``=``, ``<``, ``<=``, ``>``, ``>=``), the table's rows are narrowed by
-bisection to the key range they select, and only the later filters are
-evaluated, on that range alone. A key filter after another kind of filter,
-or inside an OR, narrows nothing, so every evaluated filter still sees, and
-raises on, the rows the full scan would show it. A hash join over all of a
-base table's rows on plain columns keeps its hash table in the table
-(``join_index``) until the table's next write, so a join that touches few
-rows does not hash the whole table again. ``dump_csv`` renders each row's
-CSV line once and reuses it while that row object stays stored.
+Each base table keeps its rows in key order from its first row: every
+insert, update and delete, ``load_csv``'s included, keeps it by bisecting on
+its row's key, and nothing ever sorts a table. That order is the one access
+path: when a base table's leading filters compare the first primary-key
+column with a literal of its comparison class (numeric with numeric,
+TEXT/DATE with TEXT/DATE; ``=``, ``<``, ``<=``, ``>``, ``>=``), the table's
+rows are narrowed by bisection to the key range they select, and only the
+later filters are evaluated, on that range alone. A key filter after
+another kind of filter, or inside an OR, narrows nothing, so every evaluated
+filter still sees, and raises on, the rows the full scan would show it. A
+hash join over all of a base table's rows on plain columns keeps its hash
+table in the table (``join_index``) until the table's next write, so a join
+that touches few rows does not hash the whole table again. ``dump_csv``
+renders each row's CSV line once and reuses it while that row object stays
+stored.
 
 Tables load on first use. ``register_csv`` names a table's CSV file, and
 the first call that touches the table (a read, a mutation, a row count, an
@@ -118,11 +120,12 @@ class Catalog:
 # --- table storage -----------------------------------------------------------
 
 class _Table:
-    """One base table: its rows by primary key and, once first asked for,
-    the same rows in key order. A mutation keeps that order by bisecting on
-    its row's key, so it costs O(log n) comparisons plus a list move, never
-    a re-sort. Rows whose keys sort equal (only possible when one key column
-    holds values of two types) keep the order in which they were stored.
+    """One base table: its rows by primary key and the same rows in key
+    order (``order``), from its first row on. Every write keeps that order
+    by bisecting on its row's key, so it costs O(log n) comparisons plus a
+    list move, never a sort. Rows whose keys sort equal (only possible when
+    one key column holds values of two types) keep the order in which they
+    were stored.
 
     A stored row is an immutable tuple of immutable values, and every write
     (``insert``, ``replace``, so ``raw_mutate`` too, and ``load_csv``)
@@ -142,8 +145,8 @@ class _Table:
     def __init__(self, d: TableDef):
         self.d = d
         self.rows: dict[tuple, Row] = {}  # pk values -> full row
-        self._order: list[Row] | None = None   # the rows, in key order
-        self._keys: list[tuple] | None = None  # their sort keys, aligned
+        self.order: list[Row] = []   # the rows, in key order
+        self._keys: list[tuple] = []  # their sort keys, aligned
         # id(row) -> (row, its CSV line)
         self.csv_lines: dict[int, tuple[Row, str]] = {}
         # id(row) -> (row, row id, fingerprint) the ledger last confirmed
@@ -154,18 +157,8 @@ class _Table:
     def copy(self) -> "_Table":
         """Independent copy sharing the (immutable) row objects."""
         t = _Table(self.d)
-        t.rows = dict(self.rows)
-        if self._order is not None:
-            t._order, t._keys = list(self._order), list(self._keys)
+        t.rows, t.order, t._keys = dict(self.rows), list(self.order), list(self._keys)
         return t
-
-    def sorted_rows(self) -> list[Row]:
-        if self._order is None:
-            keyed = sorted(((_pk_sort_key(pk), row) for pk, row in self.rows.items()),
-                           key=operator.itemgetter(0))
-            self._keys = [k for k, _ in keyed]
-            self._order = [row for _, row in keyed]
-        return self._order
 
     def key_rows(self, local: list) -> tuple[list[Row], int]:
         """``(rows, n)``: the rows, in key order, that satisfy the first ``n``
@@ -175,7 +168,6 @@ class _Table:
         without evaluating them, and such a conjunct can never raise. Later
         conjuncts are not looked at: a conjunct placed after another kind
         must still see, and may raise on, every row the scan shows it."""
-        rows = self.sorted_rows()
         col = self.d.pk_indices[0]
         cls = _KEY_CLASS[self.d.columns[col].type]
         keys, first = self._keys, operator.itemgetter(0)
@@ -197,8 +189,8 @@ class _Table:
             elif op == "<":
                 hi = min(hi, bisect_left(keys, probe, key=first))
         if n == 0:
-            return rows, 0
-        return rows[lo:hi], n
+            return self.order, 0
+        return self.order[lo:hi], n
 
     def insert(self, row: Row):
         pk = self.d.key(row)
@@ -227,8 +219,7 @@ class _Table:
         self.csv_lines.pop(id(old), None)
         self.verified.pop(id(old), None)
         self.join_index.clear()
-        if self._order is not None:
-            self._order[self._position(pk, old)] = row
+        self.order[self._position(pk, old)] = row
 
     def delete(self, pk: tuple):
         self.get(pk)
@@ -237,26 +228,24 @@ class _Table:
     def _add(self, pk: tuple, row: Row):
         self.rows[pk] = row
         self.join_index.clear()
-        if self._order is not None:
-            k = _pk_sort_key(pk)
-            i = bisect_right(self._keys, k)  # after equal keys: stored later
-            self._keys.insert(i, k)
-            self._order.insert(i, row)
+        k = _pk_sort_key(pk)
+        i = bisect_right(self._keys, k)  # after equal keys: stored later
+        self._keys.insert(i, k)
+        self.order.insert(i, row)
 
     def _remove(self, pk: tuple):
         row = self.rows.pop(pk)
         self.csv_lines.pop(id(row), None)
         self.verified.pop(id(row), None)
         self.join_index.clear()
-        if self._order is not None:
-            i = self._position(pk, row)
-            del self._keys[i]
-            del self._order[i]
+        i = self._position(pk, row)
+        del self._keys[i]
+        del self.order[i]
 
     def _position(self, pk: tuple, row: Row) -> int:
         """Index of the stored ``row``, whose key is ``pk``, in the key order."""
         i = bisect_left(self._keys, _pk_sort_key(pk))
-        while self._order[i] is not row:  # past rows whose keys sort equal
+        while self.order[i] is not row:  # past rows whose keys sort equal
             i += 1
         return i
 
@@ -786,7 +775,7 @@ class Database:
         mutation renders only the rows the mutation stored."""
         t, null = self._table(table), self.null_literal
         out = [csv_line(t.d.column_names(), null)]
-        for row in t.sorted_rows():
+        for row in t.order:
             entry = t.csv_lines.get(id(row))
             if entry is None:
                 entry = t.csv_lines[id(row)] = (row, _row_line(row, null))
@@ -811,7 +800,7 @@ class Database:
 
     def rows_of(self, table: str):
         """The table's rows, plain tuples of values, in key order."""
-        yield from self._table(table).sorted_rows()
+        yield from self._table(table).order
 
     def get_row(self, table: str, pk: tuple) -> Tuple:
         t = self._table(table)

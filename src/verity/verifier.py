@@ -86,7 +86,6 @@ class VerificationReport:
     tuples_mutated: int = 0
     ledger_txs_committed: int = 0
     elapsed: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
-    outcome: str = "verified"  # "verified" | "tampered"
     alerts: list = field(default_factory=list)
     columns: list[str] = field(default_factory=list)  # a SELECT's output names
     # row id -> its verified fingerprint
@@ -96,6 +95,10 @@ class VerificationReport:
     def tuples_checked(self) -> int:
         """Distinct row ids verified."""
         return len(self.checked)
+
+    @property
+    def outcome(self) -> str:
+        return "tampered" if self.alerts else "verified"
 
     def touch_table(self, name: str):
         if name not in self.tables_touched:
@@ -199,7 +202,6 @@ class Verifier:
                 report.touch_table(exposure.table)
                 row_ids.append(self._verify_rows(report, exposure.tabledef, rows))
         if report.alerts:
-            report.outcome = "tampered"
             self._log_alerts(report.alerts)
             raise TamperDetected(report.alerts, report)
         with _Timer(report, "db_exec"):

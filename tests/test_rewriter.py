@@ -4,10 +4,12 @@ import io
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import RandomDbGen, as_multiset, make_t123, rows_to_raw
+from conftest import RandomDbGen, as_multiset, make_t123, make_verified, rows_to_raw
 from verity import sqlast as ast
-from verity.errors import AmbiguousColumn, UnknownColumn, UnknownTable, UnsupportedFeature
+from verity.errors import (AmbiguousColumn, UnknownColumn, UnknownTable, UnsupportedFeature,
+                           VerityError)
 from verity.parser import parse
 from verity.rewriter import change_projection, project_results
 from verity.storage import Database
@@ -198,18 +200,84 @@ def test_derived_alias_rename_on_collision():
     # the inner wide query renames every colliding output
     inner = rw.wide_query.from_items[0].subquery
     aliases = [item.alias for item in inner.projections]
-    assert aliases[:4] == [
-        "n1__nation__n_nationkey", "n1__nation__n_name",
-        "n2__nation__n_nationkey", "n2__nation__n_name",
-    ]
+    assert aliases[:4] == ["n_nationkey__0", "n_name__0", "n_nationkey__1", "n_name__1"]
     rows = project_results(db.exec_select(rw.wide_query), rw)
     assert rows_to_raw(rows) == [("ALGERIA",), ("BRAZIL",)]
     assert rows == db.exec_select(q)
     # the renamed names belong to the wide query, not to the user's
-    hidden = parse("select r.n1__nation__n_name from "
+    hidden = parse("select r.n_name__0 from "
                    "(select n1.n_name from (nation as n1), (nation as n2)) as r")
     with pytest.raises(UnknownColumn):
         change_projection(hidden, db.catalog)
+
+
+# output aliases that equal a wide column's name: a base column's, one shaped
+# like a rename (name__k), or one shaped like the renames of earlier versions
+COLLIDING = [
+    ("select * from (select a + 0 as s, b + 0 as s__x0 from t2) as r", [(7, 9)]),
+    ("select * from (select p.a, q.s + 0 as p__t2__a from t2 as p, t2 as q) as r", [(7, 8)]),
+]
+
+
+@pytest.mark.parametrize("sql, expected", COLLIDING)
+def test_derived_outputs_named_like_renamed_columns_verify(sql, expected):
+    db = make_t123()
+    assert rows_to_raw(db.exec_select(parse(sql))) == expected
+    _, verifier = make_verified(db)
+    rows, _ = verifier.process(sql)
+    assert rows_to_raw(rows) == expected
+
+
+# a derived table's FROM, and the columns its items may read
+DERIVED_SOURCES = [
+    ("t1", ["x", "y", "a"]),
+    ("t2", ["a", "s", "b"]),
+    ("t3", ["c", "d", "b"]),
+    ("t2 as p, t2 as q", ["p.a", "p.s", "p.b", "q.a", "q.s", "q.b"]),
+]
+ALIASES = ["a", "s", "b", "a__0", "s__0", "s__1", "b__2", "s__x0", "p__t2__a", "r__s"]
+
+
+@st.composite
+def derived_queries(draw):
+    """``select *`` over one derived table whose outputs take names from
+    ``ALIASES``, with an outer WHERE on one output."""
+    source, columns = draw(st.sampled_from(DERIVED_SOURCES))
+    items, names = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        col = draw(st.sampled_from(columns))
+        alias = draw(st.sampled_from(ALIASES + [None]))
+        if draw(st.booleans()):
+            alias = alias or draw(st.sampled_from(ALIASES))
+            items.append(f"{col} + 0 as {alias}")
+        else:
+            items.append(col if alias is None else f"{col} as {alias}")
+        names.append(alias or col.split(".")[-1])
+    op = draw(st.sampled_from(["=", "<>", ">", "<="]))
+    where = f"r.{draw(st.sampled_from(names))} {op} {draw(st.sampled_from([1, 7, 8]))}"
+    return f"select * from (select {', '.join(items)} from {source}) as r where {where}"
+
+
+def outcome_of(run):
+    try:
+        return as_multiset(rows_to_raw(run()))
+    except VerityError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sql=derived_queries())
+@example(sql=COLLIDING[0][0] + " where r.s = 7")
+@example(sql=COLLIDING[1][0] + " where r.a = 7")
+def test_derived_table_names_never_change_results(sql):
+    db = make_t123(rows2="a,s,b\n7,8,9\n1,7,8\n8,1,7\n")
+    q = parse(sql)
+
+    def pipeline():
+        rw = change_projection(q, db.catalog)
+        return project_results(db.exec_select(rw.wide_query), rw)
+
+    assert outcome_of(pipeline) == outcome_of(lambda: db.exec_select(q)), sql
 
 
 def test_aggregate_inside_derived_table_unsupported():
