@@ -49,16 +49,20 @@ class TableExposure:
     tabledef: TableDef
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewrittenSelect:
+    """A widened SELECT. It depends on the query and the catalog only, so
+    one rewrite may serve every run of its statement: nothing changes it."""
+
     wide_query: ast.SelectQuery
-    column_map: list[TableExposure]
+    column_map: tuple[TableExposure, ...]
     # the original projection over the wide row, as (bound expr, output name);
     # in derived position every expr is a BoundCol, the position a parent reads
-    original_projection: list[tuple]
+    original_projection: tuple[tuple, ...]
 
     @property
     def output_names(self) -> list[str]:
+        """The user's output names, in a new list on every call."""
         return [name for _, name in self.original_projection]
 
 
@@ -137,4 +141,4 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenS
     wide_items = [ast.ProjectionItem(e, None if getattr(e, "column", None) == n else n)
                   for e, n in zip(exprs, names)]
     return RewrittenSelect(ast.SelectQuery(tuple(wide_items), tuple(from_items), where),
-                           exposures, outputs)
+                           tuple(exposures), tuple(outputs))

@@ -3,24 +3,27 @@ the supported SQL subset, and CSV ingestion. Storage reads no SQL text: its
 tables come from ``parser.parse_table_def`` and ``parser.parse_ddl``, and
 queries arrive as parsed ASTs.
 
-A SELECT runs in four steps. Derived tables are materialized first. The
-binder then resolves every column name once, to a position in the joined
-row, through ``Scope``: the one resolver of column names in queries, which
-the rewriter uses too. The planner (``_plan``) gives each bound WHERE
-conjunct to the deepest FROM item it reads: conjuncts over one item filter
-that item's rows once; an ``=`` between an expression over an item and one
-over earlier items becomes a hash-join key; the rest are checked on each
-joined row. Last, every conjunct, key and output expression compiles once
-into a closure that runs per row (``compile_predicate``, ``compile_expr``).
-Inside an arithmetic tree the closures pass raw ints and Decimals and build
-a Value only for the result. Every typed check still runs per row, since a
-stored value may have another kind than its column's declared type, and
-compiling never raises: an expression that cannot evaluate raises on the
-first row that evaluates it. The join keeps nested-loop order: rows come out
-by the first item's primary key, then the second's, and so on. No cost model.
-A SELECT that does not aggregate also returns each row's why-provenance
-(``SourcedRows.sources``): the stored row object each base-table occurrence,
-derived tables' included, gave to it. The verifier checks those stored rows.
+A SELECT is prepared, then run. ``prepare`` binds it to the catalog alone:
+it resolves every column name once, to a position in the joined row,
+through ``Scope``: the one resolver of column names in queries, which the
+rewriter uses too. The planner (``_plan``) gives each bound WHERE conjunct
+to the deepest FROM item it reads: conjuncts over one item filter that
+item's rows once; an ``=`` between an expression over an item and one over
+earlier items becomes a hash-join key; the rest are checked on each joined
+row. Every conjunct, key and output expression compiles once into a closure
+that runs per row (``compile_predicate``, ``compile_expr``). Inside an
+arithmetic tree the closures pass raw ints and Decimals and build a Value
+only for the result. Every typed check still runs per row, since a stored
+value may have another kind than its column's declared type, and compiling
+never raises: an expression that cannot evaluate raises on the first row
+that evaluates it. The resulting ``SelectPlan`` holds no table and no row,
+so it can run again after any write. ``exec_select`` runs a plan: derived
+tables first, then the join, on the rows stored at that moment. The join
+keeps nested-loop order: rows come out by the first item's primary key,
+then the second's, and so on. No cost model. A SELECT that does not
+aggregate also returns each row's why-provenance (``SourcedRows.sources``):
+the stored row object each base-table occurrence, derived tables' included,
+gave to it. The verifier checks those stored rows.
 
 Each base table keeps its rows in key order from its first row: every
 insert, update and delete, ``load_csv``'s included, keeps it by bisecting on
@@ -62,7 +65,7 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, DivisionByZero, InvalidOperation, Overflow
 from functools import reduce
 
@@ -160,24 +163,17 @@ class _Table:
         t.rows, t.order, t._keys = dict(self.rows), list(self.order), list(self._keys)
         return t
 
-    def key_rows(self, local: list) -> tuple[list[Row], int]:
-        """``(rows, n)``: the rows, in key order, that satisfy the first ``n``
-        conjuncts of ``local`` (bound to this table's rows), the longest
-        prefix that compares the first key column with a literal of its
-        comparison class. Found by bisection, they satisfy those conjuncts
-        without evaluating them, and such a conjunct can never raise. Later
-        conjuncts are not looked at: a conjunct placed after another kind
-        must still see, and may raise on, every row the scan shows it."""
-        col = self.d.pk_indices[0]
-        cls = _KEY_CLASS[self.d.columns[col].type]
+    def key_rows(self, bounds: tuple) -> list[Row]:
+        """The rows, in key order, whose first key column satisfies every
+        ``(op, probe)`` of ``bounds`` (``_key_bounds``), found by bisection:
+        they satisfy the conjuncts those bounds stand for without evaluating
+        them, and such a conjunct can never raise. With no bounds, the
+        table's own row list, which the caller must not change."""
+        if not bounds:
+            return self.order
         keys, first = self._keys, operator.itemgetter(0)
-        lo, hi, n = 0, len(keys), 0
-        for conj in local:
-            bound = _key_bound(conj, col, cls)
-            if bound is None:
-                break
-            n += 1
-            op, probe = bound
+        lo, hi = 0, len(keys)
+        for op, probe in bounds:
             if op in ("=", ">="):
                 lo = max(lo, bisect_left(keys, probe, key=first))
             elif op == ">":
@@ -188,9 +184,7 @@ class _Table:
                 hi = min(hi, bisect_right(keys, probe, key=first))
             elif op == "<":
                 hi = min(hi, bisect_left(keys, probe, key=first))
-        if n == 0:
-            return self.order, 0
-        return self.order[lo:hi], n
+        return self.order[lo:hi]
 
     def insert(self, row: Row):
         pk = self.d.key(row)
@@ -256,6 +250,23 @@ def _pk_sort_key(pk: tuple):
 
 # each narrowing comparison, and the one it becomes with its operands swapped
 _FLIPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _key_bounds(local: list, d: TableDef) -> tuple:
+    """``(op, probe)`` of each conjunct in the longest prefix of ``local``
+    (bound to rows of table ``d``) that compares the first key column with a
+    literal of its comparison class. Later conjuncts are not looked at: a
+    conjunct placed after another kind must still see, and may raise on,
+    every row the scan shows it."""
+    col = d.pk_indices[0]
+    cls = _KEY_CLASS[d.columns[col].type]
+    bounds = []
+    for conj in local:
+        bound = _key_bound(conj, col, cls)
+        if bound is None:
+            break
+        bounds.append(bound)
+    return tuple(bounds)
 
 
 def _key_bound(conj, col: int, cls: int):
@@ -508,33 +519,54 @@ def _all(conjuncts: list):
 _KEY_CLASS = {ValueType.INTEGER: 0, ValueType.DECIMAL: 0, ValueType.TEXT: 1, ValueType.DATE: 1}
 
 
-@dataclass
+@dataclass(frozen=True)
+class SelectPlan:
+    """A SELECT bound to the catalog (``Database.prepare``), which
+    ``Database.exec_select`` runs. It holds only what the query's text and
+    the catalog decide: the output names, one ``_Step`` per FROM item (a
+    derived table's plan nested in its step's ``source``), the bound output
+    expressions and the closures compiled from them. It holds no table, no
+    stored row and no hash table, and no run changes it, so one plan serves
+    any number of runs, each on the rows stored when it runs."""
+    names: tuple          # output names
+    steps: tuple          # one _Step per FROM item, in order
+    exprs: tuple          # bound output expressions over the joined row
+    width: int            # the joined row's width
+    outputs: object       # rows -> output rows (``_row_outputs``); None if it aggregates
+
+
+@dataclass(frozen=True)
 class _Step:
-    """One FROM binding, joined onto the rows of the bindings before it.
+    """One FROM binding of a plan, joined onto the rows of the bindings
+    before it: what binding decided, never what a run found. Each run takes
+    the binding's rows afresh from ``source``.
 
-    ``local`` and ``inner_keys`` read the binding's own rows; ``outer_keys``
-    and ``residual`` read the wide row joined so far.
-    """
-    rows: list[Row] = field(default_factory=list)    # the binding's rows, in order
-    local: list = field(default_factory=list)        # conjuncts over this binding only
-    inner_keys: list = field(default_factory=list)   # hash keys over this binding, each
-    outer_keys: list = field(default_factory=list)   # equal to one over earlier bindings
-    inner_left: list = field(default_factory=list)   # the inner key was the left operand
-    residual: list = field(default_factory=list)     # every other conjunct
-    index: dict | None = None  # the base table's join_index, when rows are all its rows
+    ``bounds``, ``local`` and ``inner_keys`` read the binding's own rows;
+    ``outer_keys`` and ``residual`` read the wide row joined so far. Keys are
+    raw-value closures (``_raw``); ``local`` and ``residual`` are compiled
+    predicates, None when there is no such conjunct."""
+    source: str | SelectPlan  # a base table's name, or a derived table's plan
+    bounds: tuple             # a base table's leading key conjuncts (``key_rows``)
+    local: object             # the binding's other conjuncts over its own rows
+    inner_keys: tuple         # hash keys over this binding, each
+    outer_keys: tuple         # equal to one over earlier bindings
+    inner_left: tuple         # the inner key was the left operand
+    residual: object          # every other conjunct
+    index_cols: tuple | None  # join_index key: all of a table's rows, plain-column keys
 
 
-def _plan(where, scope: Scope, sources: list) -> list[_Step]:
+def _plan(where, scope: Scope, sources: list) -> tuple[_Step, ...]:
     """Bind the WHERE clause and give each conjunct to the deepest binding it
     reads: as a filter of that binding's rows when it reads no other, as a
     hash-join key when it equates an expression over that binding with one
     over earlier bindings, as a residual predicate otherwise.
 
-    Each source is a base ``_Table`` or a list of rows. A base table's rows
-    are narrowed to the key range its leading filters select (``key_rows``);
-    the filters after those are evaluated on every row in that range. A
-    base table with no filter at all joins all of its rows, so its step
-    carries the table's ``join_index`` for ``_hash_matches``."""
+    Each source is a base table's ``TableDef`` or a derived table's
+    ``SelectPlan``. A base table's leading filters on its first key column
+    become the ``bounds`` that ``key_rows`` narrows its rows to; its filters
+    after those are evaluated on every row in that range. A base table with
+    no filter at all joins all of its rows, so a hash join on its plain
+    columns keeps its hash table in the table's ``join_index``."""
     # each block's positions are contiguous, from its first
     start = [cols[0][1] for _, cols in scope.blocks]
     depth_of = [d for d, (_, cols) in enumerate(scope.blocks) for _ in cols]
@@ -542,37 +574,42 @@ def _plan(where, scope: Scope, sources: list) -> list[_Step]:
     def depths(node) -> set[int]:
         return {depth_of[i] for i in _columns(node)}
 
-    steps = [_Step() for _ in sources]
+    local = [[] for _ in sources]
+    keys = [[] for _ in sources]  # (inner key, outer key, the inner key was left)
+    residual = [[] for _ in sources]
     for conj in _conjuncts(where):
         bound = scope.bind(conj)
         read = depths(bound)
         d = max(read, default=0)
-        step, off = steps[d], start[d]
         if read <= {d}:
-            step.local.append(_shift(bound, off))
+            local[d].append(_shift(bound, start[d]))
             continue
         if isinstance(bound, ast.Comparison) and bound.op == "=":
             left, right = depths(bound.left), depths(bound.right)
             if left == {d} and max(right) < d:
-                step.inner_keys.append(_shift(bound.left, off))
-                step.outer_keys.append(bound.right)
-                step.inner_left.append(True)
+                keys[d].append((_shift(bound.left, start[d]), bound.right, True))
                 continue
             if right == {d} and max(left) < d:
-                step.inner_keys.append(_shift(bound.right, off))
-                step.outer_keys.append(bound.left)
-                step.inner_left.append(False)
+                keys[d].append((_shift(bound.right, start[d]), bound.left, False))
                 continue
-        step.residual.append(bound)
-    for step, src in zip(steps, sources):
-        if isinstance(src, _Table):
-            if not step.local:
-                step.index = src.join_index
-            step.rows, n = src.key_rows(step.local)
-            del step.local[:n]
-        else:
-            step.rows = src
-    return steps
+        residual[d].append(bound)
+    return tuple(map(_step, sources, local, keys, residual))
+
+
+def _step(source, local: list, keys: list, residual: list) -> _Step:
+    """The step of one binding, its conjuncts placed by ``_plan``."""
+    inner = [k for k, _, _ in keys]
+    index_cols = None
+    if isinstance(source, SelectPlan):
+        bounds = ()
+    else:
+        bounds = _key_bounds(local, source)
+        if not local and inner and all(isinstance(k, ast.BoundCol) for k in inner):
+            index_cols = tuple(k.index for k in inner)
+        source = source.name
+    return _Step(source, bounds, _all(local[len(bounds):]), tuple(map(_raw, inner)),
+                 tuple(_raw(o) for _, o, _ in keys), tuple(left for _, _, left in keys),
+                 _all(residual), index_cols)
 
 
 class SourcedRows(list):
@@ -588,20 +625,21 @@ class SourcedRows(list):
         self.sources = sources
 
 
-def _join(steps: list[_Step]) -> tuple[list[Row], list[list[Row]]]:
+def _join(steps: tuple, sources: list) -> tuple[list[Row], list[list[Row]]]:
     """``(rows, picked)``: the joined rows, in nested-loop order (by the
     first binding's row order, then the second's, and so on), and per
     binding the row it gave to each, so each row is the concatenation of
-    its picked rows. One binding's rows come back as they are, in a list the
-    caller must not change."""
-    joined = _filtered(steps[0])
+    its picked rows. ``sources`` holds each step's source for this run: a
+    base ``_Table`` or a derived table's rows. One binding's rows come back
+    as they are, in a list the caller must not change."""
+    joined = _rows(steps[0], sources[0])
     picked = [joined]
-    for step in steps[1:]:
-        rows = _filtered(step) if joined else ()
+    for step, source in zip(steps[1:], sources[1:]):
+        rows = _rows(step, source) if joined else ()
         if not rows:
             return [], [[] for _ in steps]
-        matches = _hash_matches(step, rows) if step.inner_keys else (lambda acc: rows)
-        residual = _all(step.residual)
+        matches = _hash_matches(step, source, rows) if step.inner_keys else (lambda acc: rows)
+        residual = step.residual
         out, mine, parents = [], [], []
         for i, acc in enumerate(joined):
             for row in matches(acc):
@@ -624,61 +662,65 @@ def _trace(rows: SourcedRows, picked: list[Row]) -> list[list[Row]]:
     return [list(map(col.__getitem__, pos)) for col in rows.sources]
 
 
-def _filtered(step: _Step) -> list[Row]:
-    """The step's rows that pass its local conjuncts."""
-    if step.local:
-        return list(filter(_all(step.local), step.rows))
-    return step.rows
+def _rows(step: _Step, source) -> list[Row]:
+    """The step's rows in this run: a base table's narrowed to its key
+    bounds, then those that pass its other local conjuncts."""
+    rows = source.key_rows(step.bounds) if isinstance(source, _Table) else source
+    return rows if step.local is None else list(filter(step.local, rows))
 
 
-def _hash_matches(step: _Step, rows: list[Row]):
+def _hash_matches(step: _Step, source, rows: list[Row]):
     """Hash ``rows`` on the step's inner keys; return the probe that finds, in
     row order, the rows matching an outer row's keys.
 
-    When ``rows`` are all of a base table's rows (``step.index``) and every
-    inner key is a plain column, the hash table is the one kept in that
-    table's ``join_index`` under those columns: built by the first join
-    that needs it, reused until the table's next write clears it. Any other
-    step hashes its rows for this statement alone.
+    When ``rows`` are all of a base table's rows and every inner key is a
+    plain column (``step.index_cols``), the hash table is the one kept in
+    that table's ``join_index`` under those columns: built by the first
+    join that needs it, reused until the table's next write clears it. Any
+    other step hashes its rows for this statement alone.
 
     Keys are (is TEXT/DATE, raw) pairs, so INTEGER 1 meets DECIMAL 1.00 and
     TEXT meets DATE as ``=`` does; a NULL key meets nothing. A probe whose
-    key class differs from a build-side key raises the error ``=`` raises."""
-    if step.index is None or not all(isinstance(k, ast.BoundCol) for k in step.inner_keys):
+    key class differs from a build-side key raises the error ``=`` raises:
+    per key, the classes a probe may have are decided once, here."""
+    if step.index_cols is None:
         table, seen = _hash_rows(step.inner_keys, rows)
     else:
-        cols = tuple(k.index for k in step.inner_keys)
-        if cols not in step.index:
-            step.index[cols] = _hash_rows(step.inner_keys, rows)
-        table, seen = step.index[cols]
-    outer = list(map(_raw, step.outer_keys))
+        index = source.join_index
+        if step.index_cols not in index:
+            index[step.index_cols] = _hash_rows(step.inner_keys, rows)
+        table, seen = index[step.index_cols]
+    # per key: (outer key, the probe classes no build-side class differs
+    # from, the build side's value of each class, the inner key was left)
+    keys = [(f, frozenset(c for c in (False, True) if (not c) not in classes), classes, left)
+            for f, classes, left in zip(step.outer_keys, seen, step.inner_left)]
 
     def matches(acc: Row):
         key = []
-        for f, classes, inner_left in zip(outer, seen, step.inner_left):
+        for f, fits, classes, inner_left in keys:
             x = f(acc)
             if x is None:
                 return ()
             text = type(x) is Value
-            for other_text, other in classes.items():
-                if other_text is not text:  # raises EvalError, as comparing the two would
-                    _compare(operator.eq, *((other, x) if inner_left else (x, other)))
+            if text not in fits:  # raises EvalError, as comparing the two would
+                other = classes[not text]
+                _compare(operator.eq, *((other, x) if inner_left else (x, other)))
             key.append((text, x.raw if text else x))
         return table.get(tuple(key), ())
 
     return matches
 
 
-def _hash_rows(keys: list, rows: list[Row]) -> tuple[dict, list[dict]]:
-    """``(table, classes)``: ``rows`` hashed on bound expressions ``keys``,
-    each row under its tuple of key pairs, in row order, rows with a NULL
-    key left out; and, per key, one value of each key class it held."""
-    inner = list(map(_raw, keys))
+def _hash_rows(keys: tuple, rows: list[Row]) -> tuple[dict, list[dict]]:
+    """``(table, classes)``: ``rows`` hashed on ``keys``, raw-value closures
+    (``_raw``), each row under its tuple of key pairs, in row order, rows
+    with a NULL key left out; and, per key, one value of each key class it
+    held."""
     table: dict[tuple, list[Row]] = {}
-    seen: list[dict] = [{} for _ in inner]  # per key: class -> a value
+    seen: list[dict] = [{} for _ in keys]  # per key: class -> a value
     for row in rows:
         key = []
-        for f, classes in zip(inner, seen):
+        for f, classes in zip(keys, seen):
             x = f(row)
             if x is None:
                 break
@@ -814,37 +856,53 @@ class Database:
         rows (see ``_Table``), which the verifier reads and fills."""
         return self._table(table).verified
 
-    def exec_select(self, q: ast.SelectQuery) -> list[Row]:
-        """The rows of ``q``, in order. Unless ``q`` aggregates, they are
-        ``SourcedRows``, holding the stored rows behind each."""
-        return self._select(q)[1]
-
-    def _select(self, q: ast.SelectQuery) -> tuple[list[str], list[Row]]:
-        """Output names and rows of ``q``. Derived tables run first; then
-        every name is bound once, before the join touches a row. A SELECT
-        that aggregates, or reads a derived table that does, carries no
-        sources."""
+    def prepare(self, q: ast.SelectQuery) -> SelectPlan:
+        """``q`` bound to the catalog, for ``exec_select`` to run any number
+        of times: every name resolved once to a position in the joined row,
+        every WHERE conjunct placed (``_plan``) and every expression
+        compiled, derived tables prepared in their place. Binding reads the
+        catalog only, never a table or its rows, so it loads no CSV, and a
+        query that does not bind raises here, before any row is read."""
         blocks, sources, off = [], [], 0
         for item in q.from_items:
             if isinstance(item, ast.BaseTable):
-                source = self._table(item.name)
-                names = source.d.column_names()
+                source = self.catalog.get(item.name)
+                names = source.column_names()
             else:
-                names, source = self._select(item.subquery)
+                source = self.prepare(item.subquery)
+                names = source.names
             blocks.append((item.binding, [(n, off + i) for i, n in enumerate(names)]))
             sources.append(source)
             off += len(names)
         scope = Scope(blocks)
         steps = _plan(q.where, scope, sources)
         names, exprs = _outputs(q.projections, scope)
-        joined, picked = _join(steps)
-        outputs = _row_outputs(exprs, joined, off)
-        if outputs is None or not all(isinstance(s, (_Table, SourcedRows)) for s in sources):
-            return names, project_rows(exprs, joined, off)
+        return SelectPlan(tuple(names), steps, tuple(exprs), off, _row_outputs(exprs, off))
+
+    def exec_select(self, q) -> list[Row]:
+        """The rows of ``q``, in order: a ``SelectQuery``, prepared here, or
+        a ``SelectPlan`` from ``prepare``, which runs as it was bound, on the
+        rows stored now. Unless ``q`` aggregates, they are ``SourcedRows``,
+        holding the stored rows behind each."""
+        return self._run(q if isinstance(q, SelectPlan) else self.prepare(q))
+
+    def _run(self, plan: SelectPlan) -> list[Row]:
+        """The rows of a plan. Its base tables come from ``_table``, loaded on
+        first touch, and its derived tables run, in FROM order; then the
+        join. A SELECT that aggregates, or reads a derived table that does,
+        carries no sources."""
+        sources = [self._table(s.source) if isinstance(s.source, str) else self._run(s.source)
+                   for s in plan.steps]
+        joined, picked = _join(plan.steps, sources)
+        if plan.outputs is None:
+            return project_rows(plan.exprs, joined, plan.width)
+        rows = plan.outputs(joined)
+        if not all(isinstance(s, (_Table, SourcedRows)) for s in sources):
+            return list(rows)
         occurrences = []
-        for source, rows in zip(sources, picked):
-            occurrences += [rows] if isinstance(source, _Table) else _trace(source, rows)
-        return names, SourcedRows(outputs, occurrences)
+        for source, mine in zip(sources, picked):
+            occurrences += [mine] if isinstance(source, _Table) else _trace(source, mine)
+        return SourcedRows(rows, occurrences)
 
     # verified-pipeline mutations
 
@@ -906,31 +964,33 @@ def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
     expressions take their values from the first row (NULL when there is
     none).
     """
-    outputs = _row_outputs(exprs, rows, width)
+    outputs = _row_outputs(exprs, width)
     if outputs is not None:
-        return list(outputs)
+        return list(outputs(rows))
     aggs = dict.fromkeys(node for e in exprs for node in ast.aggregates(e))
     aggs = {node: _aggregate(node, rows) for node in aggs}
     base = rows[0] if rows else (NULL,) * width
     return [tuple([compile_expr(e, aggs)(base) for e in exprs])]
 
 
-def _row_outputs(exprs: list, rows: list[Row], width: int):
-    """The output rows of ``exprs``, one per row, in order, or None when
-    they aggregate. Plain column outputs are picked by position; when each
-    row already is its output, ``rows`` itself is returned."""
+def _row_outputs(exprs, width: int):
+    """Closure: ``width``-wide rows -> the output rows of ``exprs``, one per
+    row, in order; None when they aggregate. Plain column outputs are
+    picked by position; when each row already is its output, the closure
+    returns its rows themselves."""
     positions = _positions(exprs)
     if positions is None:
         if any(any(ast.aggregates(e)) for e in exprs):
             return None
         outs = [compile_expr(e) for e in exprs]
-        return (tuple([f(row) for f in outs]) for row in rows)
+        return lambda rows: (tuple([f(row) for f in outs]) for row in rows)
     if positions == list(range(width)):
-        return rows
+        return lambda rows: rows
     if len(positions) == 1:
         i = positions[0]
-        return [(row[i],) for row in rows]
-    return map(operator.itemgetter(*positions), rows)
+        return lambda rows: [(row[i],) for row in rows]
+    pick = operator.itemgetter(*positions)
+    return lambda rows: map(pick, rows)
 
 
 def _positions(exprs: list) -> list[int] | None:

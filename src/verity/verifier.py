@@ -2,7 +2,11 @@
 
 Every statement runs through the same pipeline: parse, widen, execute the
 wide query, fingerprint-check every distinct base tuple it touched against
-the ledger, and only then release results or apply mutations.
+the ledger, and only then release results or apply mutations. Parsing,
+widening and binding the wide query to storage depend on the SQL text and
+the catalog alone, so a verifier does them once per text and keeps the
+result for the statement's next runs (``Verifier.process``); executing and
+checking run every time.
 
 The write protocol is stated in row changes: UPDATE, INSERT and DELETE hand
 ``Verifier._commit_and_apply`` a ``(row id, old row, new row)`` per changed
@@ -38,6 +42,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import sqlast as ast
@@ -54,12 +59,16 @@ from .errors import (
 from .fingerprint import fingerprint, fingerprint_tuple, row_id
 from .ledger import SimulatedLedger, TxDraft, TxKind
 from .parser import parse
-from .rewriter import change_projection, project_results
+from .rewriter import RewrittenSelect, change_projection, project_results
 from .sqlast import QueryKind, classify
-from .storage import Database, Scope, TableDef, compile_expr
+from .storage import Database, Scope, SelectPlan, TableDef, compile_expr
 from .values import NULL, coerce
 
 PHASES = ("parse", "rewrite", "db_exec", "ledger_lookup", "ledger_commit")
+
+# prepared statements a Verifier keeps, as many as Python's sqlite3 keeps per
+# connection (``cached_statements``)
+CACHED_STATEMENTS = 128
 
 
 @dataclass
@@ -127,6 +136,24 @@ class MissingRow:
     table: str
 
 
+@dataclass(frozen=True)
+class _Select:
+    """A SELECT prepared for the verified pipeline: its rewrite and the
+    storage plan of its wide query."""
+    rewrite: RewrittenSelect
+    plan: SelectPlan
+
+
+@dataclass(frozen=True)
+class _Statement:
+    """A statement prepared from its SQL text, as ``Verifier.process`` keeps
+    it: all of it a function of the text and the catalog alone."""
+    query_hash: str
+    query: object          # the parsed statement
+    kind: QueryKind
+    select: _Select | None  # a SELECT's, or the rows an UPDATE or DELETE targets
+
+
 class _Timer:
     def __init__(self, report: VerificationReport, phase: str):
         self.report = report
@@ -147,6 +174,8 @@ class Verifier:
         self.principal = principal
         self.clock = clock or (lambda: int(time.time()))
         self.audit_log = audit_log
+        # SQL text -> _Statement, least recently used first
+        self._statements: OrderedDict[str, _Statement] = OrderedDict()
 
     # --- bootstrap -----------------------------------------------------------
 
@@ -171,31 +200,71 @@ class Verifier:
     def process(self, sql_text: str, principal: str | None = None):
         """Parse, dispatch, verify. Returns (payload, report); the payload is
         a row list for SELECT and a MutationSummary otherwise. Raises
-        TamperDetected (with all alerts) instead of releasing anything."""
-        report = VerificationReport(hashlib.sha256(sql_text.encode("utf-8")).hexdigest())
-        with _Timer(report, "parse"):
-            q = parse(sql_text)
-        report.query_kind = kind = classify(q)
+        TamperDetected (with all alerts) instead of releasing anything.
+
+        A statement is prepared once per exact SQL text: parsed, its SELECT
+        (an UPDATE's or DELETE's target rows included) widened and bound to
+        storage. The verifier keeps the last ``CACHED_STATEMENTS`` texts it
+        prepared, least recently used first out, so a repeated text skips
+        all three and its report's ``parse`` and ``rewrite`` phases read 0.
+        What it keeps depends on the text and the catalog alone, and
+        ``Catalog.define`` never redefines a table, so it cannot go stale;
+        every run still reads the rows stored now and checks every tuple
+        behind them. A text that fails to prepare is not kept."""
+        stmt = self._statements.get(sql_text)
+        if stmt is None:
+            report = VerificationReport(hashlib.sha256(sql_text.encode("utf-8")).hexdigest())
+            stmt = self._prepare(sql_text, report)
+            self._statements[sql_text] = stmt
+            if len(self._statements) > CACHED_STATEMENTS:
+                self._statements.popitem(last=False)
+        else:
+            self._statements.move_to_end(sql_text)
+            report = VerificationReport(stmt.query_hash)
+        report.query_kind = kind = stmt.kind
         if kind is QueryKind.SELECT:
-            rows, rw, _ = self._select(q, report)
-            report.columns = rw.output_names
+            rows, _ = self._select(stmt.select, report)
+            report.columns = stmt.select.rewrite.output_names
             return rows, report
         write = {QueryKind.UPDATE: self._update, QueryKind.INSERT: self._insert,
                  QueryKind.DELETE: self._delete}[kind]
-        td = self.db.catalog.get(q.table)
+        td = self.db.catalog.get(stmt.query.table)
         report.touch_table(td.name)
-        return write(q, td, report, principal or self.principal), report
+        return write(stmt, td, report, principal or self.principal), report
+
+    def _prepare(self, sql_text: str, report: VerificationReport) -> _Statement:
+        """Parse ``sql_text``; prepare the SELECT it runs, or the target rows
+        of its UPDATE or DELETE (``_target_rows``)."""
+        with _Timer(report, "parse"):
+            q = parse(sql_text)
+        kind = classify(q)
+        select = None
+        if kind is QueryKind.SELECT:
+            select = self._prepare_select(q, report)
+        elif kind in (QueryKind.UPDATE, QueryKind.DELETE):
+            td = self.db.catalog.get(q.table)
+            select = self._prepare_select(
+                ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
+                                (ast.BaseTable(td.name, None),), q.where), report)
+        return _Statement(report.query_hash, q, kind, select)
 
     # --- the verified SELECT pipeline ----------------------------------------
 
-    def _select(self, q: ast.SelectQuery, report: VerificationReport):
-        """``(rows, rewrite, row ids)``: the user's result rows, released only
-        once every base tuple behind them verified, and, per exposure of
-        ``rewrite.column_map``, the row id of each wide row's tuple."""
+    def _prepare_select(self, q: ast.SelectQuery, report: VerificationReport) -> _Select:
+        """``q`` widened and its wide query bound to storage."""
         with _Timer(report, "rewrite"):
             rw = change_projection(q, self.db.catalog)
         with _Timer(report, "db_exec"):
-            wide_rows = self.db.exec_select(rw.wide_query)
+            plan = self.db.prepare(rw.wide_query)
+        return _Select(rw, plan)
+
+    def _select(self, select: _Select, report: VerificationReport):
+        """``(rows, row ids)``: the user's result rows, released only once
+        every base tuple behind them verified, and, per exposure of the
+        rewrite's ``column_map``, the row id of each wide row's tuple."""
+        rw = select.rewrite
+        with _Timer(report, "db_exec"):
+            wide_rows = self.db.exec_select(select.plan)
         with _Timer(report, "ledger_lookup"):
             row_ids = []
             for exposure, rows in zip(rw.column_map, wide_rows.sources):
@@ -206,12 +275,13 @@ class Verifier:
             raise TamperDetected(report.alerts, report)
         with _Timer(report, "db_exec"):
             rows = project_results(wide_rows, rw)
-        return rows, rw, row_ids
+        return rows, row_ids
 
     # --- UPDATE, INSERT, DELETE ------------------------------------------------
 
-    def _update(self, q: ast.UpdateQuery, td: TableDef, report: VerificationReport,
+    def _update(self, stmt: _Statement, td: TableDef, report: VerificationReport,
                 principal: str) -> MutationSummary:
+        q = stmt.query
         set_cols = []  # the column index of each assignment
         for a in q.assignments:
             idx = td.col_index(a.column)  # UnknownColumn on bad names
@@ -225,7 +295,7 @@ class Verifier:
         scalars: dict[int, ast.Literal] = {}
         for i, a in enumerate(q.assignments):
             if isinstance(a.value, ast.ScalarSubquery):
-                rows, _, _ = self._select(a.value.query, report)
+                rows, _ = self._select(self._prepare_select(a.value.query, report), report)
                 if len(rows) != 1 or len(rows[0]) != 1:
                     raise NonScalarSubquery(
                         f"SET subquery for {a.column!r} returned "
@@ -233,7 +303,7 @@ class Verifier:
                     )
                 scalars[i] = ast.Literal(rows[0][0])
 
-        old_rows = self._target_rows(td, q.where, report)
+        old_rows = self._target_rows(stmt.select, report)
 
         scope = Scope([(td.name, [(n, i) for i, n in enumerate(td.column_names())])])
         setters = [(idx, td.columns[idx].type,
@@ -247,8 +317,9 @@ class Verifier:
             changes.append((rid, old, tuple(new)))
         return self._commit_and_apply(report, QueryKind.UPDATE, td, principal, changes)
 
-    def _insert(self, q: ast.InsertQuery, td: TableDef, report: VerificationReport,
+    def _insert(self, stmt: _Statement, td: TableDef, report: VerificationReport,
                 principal: str) -> MutationSummary:
+        q = stmt.query
         col_idx = []
         for c in q.columns:
             idx = td.col_index(c)
@@ -265,7 +336,7 @@ class Verifier:
                 raise UnsupportedFeature(
                     f"INSERT ... SELECT reading its own target table {td.name!r}"
                 )
-            src_rows, _, _ = self._select(q.source.query, report)
+            src_rows, _ = self._select(self._prepare_select(q.source.query, report), report)
         else:
             src_rows = [tuple(compile_expr(e)(()) for e in row_exprs)
                         for row_exprs in q.source.rows]
@@ -295,20 +366,18 @@ class Verifier:
             changes.append((row_id(pk, td.name), None, values))
         return self._commit_and_apply(report, QueryKind.INSERT, td, principal, changes)
 
-    def _delete(self, q: ast.DeleteQuery, td: TableDef, report: VerificationReport,
+    def _delete(self, stmt: _Statement, td: TableDef, report: VerificationReport,
                 principal: str) -> MutationSummary:
-        changes = [(rid, old, None) for rid, old in self._target_rows(td, q.where, report)]
+        changes = [(rid, old, None) for rid, old in self._target_rows(stmt.select, report)]
         return self._commit_and_apply(report, QueryKind.DELETE, td, principal, changes)
 
-    def _target_rows(self, td: TableDef, where,
-                     report: VerificationReport) -> list[tuple[str, tuple]]:
-        """``(row id, row)`` of every row of ``td`` that ``where`` selects, in
-        key order, each verified by the SELECT pipeline (its fingerprint is
-        ``report.checked[row id]``) under the row id that check computed: a
-        ``select *`` of one table keeps its wide rows, in order."""
-        q = ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
-                            (ast.BaseTable(td.name, None),), where)
-        rows, _, (rids,) = self._select(q, report)
+    def _target_rows(self, target: _Select, report: VerificationReport) -> list[tuple[str, tuple]]:
+        """``(row id, row)`` of every row an UPDATE or DELETE targets, in key
+        order, each verified by the SELECT pipeline (its fingerprint is
+        ``report.checked[row id]``) under the row id that check computed.
+        ``target`` is the ``select *`` of its table under its WHERE clause
+        (``_prepare``), which keeps its wide rows, in order."""
+        rows, (rids,) = self._select(target, report)
         return list(zip(rids, rows))
 
     def _commit_and_apply(self, report: VerificationReport, kind: QueryKind, td: TableDef,

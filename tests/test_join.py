@@ -20,7 +20,7 @@ from verity import sqlast as ast, storage
 from verity.errors import EvalError
 from verity.parser import parse
 from verity.rewriter import change_projection
-from verity.storage import Database, Scope, SourcedRows
+from verity.storage import Database, Scope, SourcedRows, compile_predicate
 from verity.values import NULL, Value
 
 DDL = """
@@ -73,7 +73,7 @@ def hash_keys(db: Database, sql: str) -> list[int]:
     for item in q.from_items:
         td = db.catalog.get(item.name)
         blocks.append((item.binding, [(n, off + i) for i, n in enumerate(td.column_names())]))
-        sources.append([])
+        sources.append(td)
         off += len(td.columns)
     return [len(s.inner_keys) for s in storage._plan(q.where, Scope(blocks), sources)]
 
@@ -173,6 +173,24 @@ def test_mixed_integer_text_equality_join_raises():
             with pytest.raises(EvalError) as warm:
                 db.exec_select(parse(sql))
             assert str(warm.value) == str(cold.value), sql
+
+
+def test_a_key_of_both_classes_raises_on_every_probe_as_equality_does():
+    db = join_db()
+    db.apply_row_insert("b", (Value.integer(15), Value.text("k"), NULL, NULL, NULL))  # b.y TEXT
+    cases = [  # (query, the first probe and the build side's other-class value, in = order)
+        ("select a.id, b.id from a, b where a.x = b.y", (Value.integer(1), Value.text("k"))),
+        ("select a.id, b.id from a, b where b.y = a.x", (Value.text("k"), Value.integer(1))),
+        ("select a.id, b.id from a, b where a.s = b.y", (Value.text("p"), Value.integer(1))),
+    ]
+    equal = compile_predicate(ast.Comparison("=", ast.BoundCol(0), ast.BoundCol(1)))
+    for sql, pair in cases:
+        with pytest.raises(EvalError) as nested_loop:
+            equal(pair)
+        for _ in range(2):  # hashed, then probed through b's join index
+            with pytest.raises(EvalError) as hashed:
+                db.exec_select(parse(sql))
+            assert str(hashed.value) == str(nested_loop.value), sql
 
 
 def test_scope_resolve_runs_per_statement_not_per_row(monkeypatch):

@@ -1,6 +1,8 @@
 """Storage engine: DDL, values, CSV dialect, execution, mutations."""
 
+import dataclasses
 import io
+import types
 from decimal import Decimal
 
 import pytest
@@ -27,7 +29,7 @@ from verity.errors import (
     VerityError,
 )
 from verity.parser import parse
-from verity.storage import Database, csv_line, iter_csv
+from verity.storage import Database, SelectPlan, SourcedRows, csv_line, iter_csv
 from verity.values import NULL, Value, ValueType, decimal_str, parse_typed
 
 
@@ -402,6 +404,118 @@ def test_derived_table_materialized_first():
         "select r1.s from (select s, b from t2) as r1 where r1.b = 9"
     ))
     assert rows_to_raw(rows) == [(8,)]
+
+
+# --- prepared plans ---------------------------------------------------------------
+
+def plan_db() -> Database:
+    db = Database()
+    db.load_ddl("create table c (k integer, name text, primary key (k));"
+                "create table o (k integer, ck integer, v integer, primary key (k))")
+    db.load_csv("c", io.StringIO("k,name\n1,ann\n2,bob\n3,cy\n"))
+    db.load_csv("o", io.StringIO("k,ck,v\n10,1,5\n11,1,6\n12,2,7\n13,3,8\n"))
+    return db
+
+
+PLAN_QUERIES = [
+    "select * from o where k >= 11 and v > 5",  # key bounds, then a filter
+    "select * from o where k = 12",
+    "select o.v, c.name from o, c where o.ck = c.k",  # kept in c's join_index
+    "select r.name, o.v from (select k, name from c where k > 1) as r, o "
+    "where o.ck = r.k and o.v <> 6",
+    "select name from c where name like 'b%' or k < 2",
+    "select sum(v), count(*) from o where k < 13",
+]
+
+
+def released(db: Database, q):
+    """What ``exec_select`` released: rows and, if any, their sources."""
+    rows = db.exec_select(q)
+    sources = rows.sources if isinstance(rows, SourcedRows) else None
+    return rows_to_raw(rows), sources
+
+
+def plan_objects(plan: SelectPlan):
+    """Every object a plan holds: through dataclass fields, containers and
+    the cells of its compiled closures."""
+    seen, stack = set(), [plan]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            stack += [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack += list(obj)
+        elif isinstance(obj, dict):
+            stack += [*obj, *obj.values()]
+        elif isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+            stack += list(obj.__defaults__ or ())
+
+
+@pytest.mark.parametrize("sql", PLAN_QUERIES)
+def test_a_plan_runs_on_the_rows_stored_when_it_runs(sql):
+    """One plan, run between writes of every kind, releases what preparing
+    the query afresh releases, and no run changes it."""
+    db = plan_db()
+    plan = db.prepare(parse(sql))
+    before = repr(plan)
+    writes = [
+        lambda: None,
+        lambda: db.apply_row_insert("o", (Value.integer(14), Value.integer(2), Value.integer(9))),
+        lambda: db.apply_row_update("c", (Value.integer(2),), (Value.integer(2), Value.text("bea"))),
+        lambda: db.raw_mutate("o", (Value.integer(12),), "v", Value.integer(70)),
+        lambda: db.raw_mutate("o", (Value.integer(11),), "ck", Value.integer(3)),
+        lambda: db.apply_row_delete("o", (Value.integer(12),)),
+        lambda: db.load_csv("c", io.StringIO("k,name\n0,bo\n")),  # replaces the table
+    ]
+    for write in writes:
+        write()
+        for _ in range(2):  # the second run reuses any join index the first built
+            assert released(db, plan) == released(db, parse(sql)), sql
+    assert repr(plan) == before
+
+
+@pytest.mark.parametrize("sql", PLAN_QUERIES)
+def test_a_plan_holds_no_table_stored_row_or_join_index(sql):
+    db = plan_db()
+    plan = db.prepare(parse(sql))
+    db.exec_select(plan)
+    db.exec_select(plan)
+    stored = {id(row) for t in ("c", "o") for row in db.rows_of(t)}
+    tables = [db._table(t) for t in ("c", "o")]
+    held = list(plan_objects(plan))
+    assert not [obj for obj in held if type(obj).__name__ == "_Table"]
+    assert not [obj for obj in held if id(obj) in stored]
+    assert not [obj for obj in held if any(obj is t.join_index for t in tables)]
+    assert not [obj for obj in held if isinstance(obj, (list, dict))]  # nothing mutable
+
+
+def test_a_plan_prepared_on_one_database_runs_on_its_clone():
+    db = plan_db()
+    plan = db.prepare(parse(PLAN_QUERIES[3]))
+    clone = db.clone()
+    clone.apply_row_delete("c", (Value.integer(2),))
+    assert released(clone, plan) == released(clone, parse(PLAN_QUERIES[3]))
+    assert released(db, plan) == released(db, parse(PLAN_QUERIES[3]))
+    assert released(clone, plan) != released(db, plan)
+
+
+def test_preparing_reads_no_csv(tmp_path):
+    path = tmp_path / "o.csv"
+    path.write_text("k,ck,v\n10,1,5\n")
+    db = Database()
+    db.create_table("create table o (k integer, ck integer, v integer, primary key (k))")
+    db.register_csv("o", str(path))
+    plan = db.prepare(parse("select v from o where k = 10"))
+    assert not db.is_loaded("o")
+    assert rows_to_raw(db.exec_select(plan)) == [(5,)]
+    assert db.is_loaded("o")
+    with pytest.raises(UnknownColumn):
+        db.prepare(parse("select nosuch from o"))
 
 
 # --- mutations ----------------------------------------------------------------------

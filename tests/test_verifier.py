@@ -19,6 +19,7 @@ from verity.errors import (
     PkUpdateUnsupported,
     TamperDetected,
     UnsupportedFeature,
+    VerityError,
 )
 from verity.fingerprint import row_id
 from verity.ledger import SimulatedLedger, TxDraft, TxKind, generate_peers
@@ -26,7 +27,7 @@ from verity.parser import parse
 from verity.sqlast import QueryKind
 from verity.storage import Database
 from verity.values import NULL, Value
-from verity.verifier import MutationSummary, Verifier
+from verity.verifier import CACHED_STATEMENTS, MutationSummary, Verifier
 
 
 def update_example_db():
@@ -932,6 +933,174 @@ def test_a_long_lived_verifier_matches_a_fresh_one_at_every_step(steps):
         fresh = Verifier(db.clone(), ledger.clone_in_memory(), "peer-1",
                          clock=lambda: 1_700_000_000)
         assert memo_step(verifier, step) == memo_step(fresh, step), step
+
+
+# --- prepared statements ---------------------------------------------------------------
+
+def count_preparing(monkeypatch) -> dict:
+    """Count the verifier's parses, rewrites and storage bindings."""
+    calls = {"parse": 0, "change_projection": 0, "prepare": 0}
+    for name in ("parse", "change_projection"):
+        original = getattr(verity.verifier, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(verity.verifier, name, counted)
+    prepare = Database.prepare
+
+    def counted_prepare(self, q):
+        calls["prepare"] += 1
+        return prepare(self, q)
+    monkeypatch.setattr(Database, "prepare", counted_prepare)
+    return calls
+
+
+@pytest.mark.parametrize("sql, preparing", [
+    # a derived table is bound as a plan of its own
+    (MEMO_QUERIES[5], {"parse": 1, "change_projection": 1, "prepare": 2}),
+    ("update o set v = v + 1 where k >= 12", {"parse": 1, "change_projection": 1, "prepare": 1}),
+    ("delete from l where k = 103", {"parse": 1, "change_projection": 1, "prepare": 1}),
+    ("insert into c (k, name) values (9, 'di')", {"parse": 1, "change_projection": 0,
+                                                  "prepare": 0}),
+    # a SET subquery is prepared on every run
+    ("update o set v = (select count(*) from c) where k = 12",
+     {"parse": 1, "change_projection": 3, "prepare": 3}),
+])
+def test_a_repeated_text_is_parsed_rewritten_and_bound_once(monkeypatch, sql, preparing):
+    db = memo_db()
+    _, verifier = make_verified(db)
+    calls = count_preparing(monkeypatch)
+    reports = []
+    for _ in range(2):
+        try:
+            reports.append(verifier.process(sql)[1])
+        except DuplicatePrimaryKey:  # the second insert of one key
+            pass
+    assert calls == preparing
+    assert reports[0].query_hash == reports[-1].query_hash == (
+        hashlib.sha256(sql.encode("utf-8")).hexdigest())
+    if len(reports) == 2 and preparing["prepare"] < 3:
+        assert reports[1].elapsed["parse"] == reports[1].elapsed["rewrite"] == 0.0
+
+
+@pytest.mark.parametrize("sql", [
+    "select * from n",
+    "select n.a, o.v from n, o where n.a = o.k",
+    "update n set b = 1 where a = 2",
+    "delete from n where a = 2",
+])
+def test_a_text_that_fails_to_prepare_is_not_kept(sql):
+    db = memo_db()
+    _, verifier = make_verified(db)
+    for bad in (sql, "select nosuch from o", "select * from", "select * from (select k from o)"):
+        with pytest.raises(VerityError):
+            verifier.process(bad)
+    assert len(verifier._statements) == 0
+    db.create_table("create table n (a integer, b integer, primary key (a))")
+    payload, report = verifier.process(sql)  # prepared afresh, against the new table
+    assert payload == [] or payload.rows_affected == 0
+    assert list(verifier._statements) == [sql]
+
+
+def test_the_statement_cache_keeps_the_most_recently_used_texts():
+    db = memo_db()
+    _, verifier = make_verified(db)
+    assert verity.verifier.CACHED_STATEMENTS == 128
+    texts = [f"select * from o where k = {i}" for i in range(CACHED_STATEMENTS + 3)]
+    for sql in texts[:CACHED_STATEMENTS]:
+        verifier.process(sql)
+    assert list(verifier._statements) == texts[:CACHED_STATEMENTS]
+    verifier.process(texts[0])  # used again: now the most recent
+    for sql in texts[CACHED_STATEMENTS:]:
+        verifier.process(sql)
+        assert len(verifier._statements) == CACHED_STATEMENTS
+    assert list(verifier._statements) == (texts[4:CACHED_STATEMENTS] + [texts[0]]
+                                          + texts[CACHED_STATEMENTS:])
+
+
+# One long-lived verifier, whose prepared statements and plans serve every
+# step, against a new verifier over the same database and ledger, which
+# prepares everything afresh.
+PLAN_DIRECT = [
+    "select * from o where k = 12",
+    "select * from c where k >= 2",
+    "select k, v from o where k > 10 and k <= 12 and v > 0",
+    "select * from l where k < 103 and q > 1",
+]
+_MEMO_KEY = st.sampled_from([1, 2, 3, 4, 10, 11, 12, 13, 14, 100, 102, 103, 104])
+PLAN_STEPS = st.one_of(
+    st.tuples(st.just("select"), st.sampled_from(MEMO_QUERIES + PLAN_DIRECT)),
+    st.tuples(st.just("update"), st.sampled_from(sorted(MEMO_TAMPER)), _MEMO_KEY,
+              st.integers(-2, 2), st.booleans()),
+    st.tuples(st.just("insert"), st.sampled_from(sorted(MEMO_TAMPER)), _MEMO_KEY),
+    st.tuples(st.just("delete"), st.sampled_from(sorted(MEMO_TAMPER)), _MEMO_KEY),
+    st.tuples(st.just("tamper"), st.sampled_from(sorted(MEMO_TAMPER))),
+)
+_WRITES = {
+    "update": {
+        "c": lambda k, d, many: f"update c set name = 'n{d}' where k {'>=' if many else '='} {k}",
+        "o": lambda k, d, many: f"update o set v = v + {d} where k {'>=' if many else '='} {k}",
+        "l": lambda k, d, many: f"update l set q = q + {d} where k {'>=' if many else '='} {k}",
+    },
+    "insert": {
+        "c": lambda k: f"insert into c (k, name) values ({k}, 'i{k}')",
+        "o": lambda k: f"insert into o (k, ck, v) values ({k}, {k % 4}, {k % 9})",
+        "l": lambda k: f"insert into l (k, ok, q) values ({k}, {10 + k % 5}, {k % 7})",
+    },
+    "delete": {t: (lambda k, t=t: f"delete from {t} where k = {k}") for t in MEMO_TAMPER},
+}
+
+
+def observed(verifier: Verifier, sql: str):
+    """What a verified SELECT released or raised, comparable with ==."""
+    try:
+        rows, report = verifier.process(sql)
+    except TamperDetected as exc:
+        report = exc.report
+        return ("tampered", [a.row_id for a in exc.alerts],
+                report.tuples_checked, report.tuples_seen)
+    return rows_to_raw(rows), report.tuples_checked, report.tuples_seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(PLAN_STEPS, min_size=1, max_size=12))
+def test_a_long_lived_verifier_behaves_as_a_fresh_one(steps):
+    db = memo_db()
+    ledger, verifier = make_verified(db)
+    plans = {sql: db.prepare(parse(sql)) for sql in PLAN_DIRECT}
+
+    def compare(step):
+        fresh = Verifier(db, ledger, "peer-1", clock=lambda: 1_700_000_000)
+        for sql in MEMO_QUERIES + PLAN_DIRECT:
+            assert observed(verifier, sql) == observed(fresh, sql), (step, sql)
+        for sql, plan in plans.items():
+            kept, new = db.exec_select(plan), db.exec_select(parse(sql))
+            assert (rows_to_raw(kept), kept.sources) == (rows_to_raw(new), new.sources), (
+                step, sql)
+
+    compare(None)
+    for step in steps:
+        kind, *args = step
+        if kind == "select":
+            verifier.process(args[0])  # may alert after an earlier edit
+        elif kind == "tamper":
+            table = args[0]
+            key, column, tampered, _ = MEMO_TAMPER[table]
+            pk = (Value.integer(key),)
+            if not db.has_row(table, pk):
+                continue
+            stored = db.get_row(table, pk).values[db.catalog.get(table).col_index(column)]
+            db.raw_mutate(table, pk, column, tampered)
+            compare(step)
+            db.raw_mutate(table, pk, column, stored)
+        else:
+            table, *rest = args
+            try:
+                verifier.process(_WRITES[kind][table](*rest))
+            except (TamperDetected, DuplicatePrimaryKey):
+                pass
+        compare(step)
 
 
 # --- the join index -------------------------------------------------------------------
