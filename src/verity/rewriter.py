@@ -36,7 +36,7 @@ from .errors import UnsupportedFeature
 from .storage import Catalog, Row, Scope, TableDef, map_columns, project_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableExposure:
     """One base-table occurrence in the wide result, in FROM order with a
     derived table's occurrences in its place: wide columns [start, stop)
@@ -49,7 +49,7 @@ class TableExposure:
     tabledef: TableDef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewrittenSelect:
     """A widened SELECT. It depends on the query and the catalog only, so
     one rewrite may serve every run of its statement: nothing changes it."""

@@ -23,30 +23,30 @@ ARITHMETIC_OPS = ("+", "-", "*", "/")
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef:
     table: str | None
     column: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryOp:
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnaryMinus:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Aggregate:
     func: str          # sum | count | avg | max | min
     arg: "Expr | None"  # None only for count(*)
@@ -56,7 +56,7 @@ class Aggregate:
         return self.arg is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCol:
     """Column reference resolved by ``storage.Scope`` to a position in a row."""
     index: int
@@ -67,27 +67,27 @@ Expr = ColumnRef | Literal | BinaryOp | UnaryMinus | Aggregate | BoundCol
 
 # --- predicates ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparison:
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikePredicate:
     expr: Expr
     pattern: str
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Predicate"
     right: "Predicate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Predicate"
     right: "Predicate"
@@ -98,12 +98,12 @@ Predicate = Comparison | LikePredicate | And | Or
 
 # --- queries ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectionItem:
     expr: Expr | Star
     alias: str | None = None
@@ -119,7 +119,7 @@ def output_name(item: ProjectionItem, i: int) -> str:
     return f"expr_{i}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseTable:
     name: str
     alias: str | None = None
@@ -129,7 +129,7 @@ class BaseTable:
         return self.alias or self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedTable:
     subquery: "SelectQuery"
     alias: str
@@ -142,49 +142,49 @@ class DerivedTable:
 FromItem = BaseTable | DerivedTable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectQuery:
     projections: tuple[ProjectionItem, ...]
     from_items: tuple[FromItem, ...]
     where: Predicate | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalarSubquery:
     query: SelectQuery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     column: str
     value: Expr | ScalarSubquery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateQuery:
     table: str
     assignments: tuple[Assignment, ...]
     where: Predicate | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValuesSource:
     rows: tuple[tuple[Expr, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectSource:
     query: SelectQuery
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsertQuery:
     table: str
     columns: tuple[str, ...]
     source: ValuesSource | SelectSource
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteQuery:
     table: str
     where: Predicate | None = None

@@ -519,7 +519,7 @@ def _all(conjuncts: list):
 _KEY_CLASS = {ValueType.INTEGER: 0, ValueType.DECIMAL: 0, ValueType.TEXT: 1, ValueType.DATE: 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectPlan:
     """A SELECT bound to the catalog (``Database.prepare``), which
     ``Database.exec_select`` runs. It holds only what the query's text and
@@ -535,7 +535,7 @@ class SelectPlan:
     outputs: object       # rows -> output rows (``_row_outputs``); None if it aggregates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Step:
     """One FROM binding of a plan, joined onto the rows of the bindings
     before it: what binding decided, never what a run found. Each run takes

@@ -136,7 +136,7 @@ class MissingRow:
     table: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Select:
     """A SELECT prepared for the verified pipeline: its rewrite and the
     storage plan of its wide query."""
@@ -144,7 +144,7 @@ class _Select:
     plan: SelectPlan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Statement:
     """A statement prepared from its SQL text, as ``Verifier.process`` keeps
     it: all of it a function of the text and the catalog alone."""
