@@ -426,7 +426,10 @@ def cmd_tamper(args) -> int:
             db.apply_row_delete(td.name, pk)
             action = "deleted row"
         elif args.set:
-            col, _, val = args.set.partition("=")
+            col, eq, val = args.set.partition("=")
+            if not eq:
+                print("error: --set takes column=value", file=sys.stderr)
+                return EXIT_ERROR
             col = col.strip()
             value = _csv_record(val, db, td, [col])
             if value is None:

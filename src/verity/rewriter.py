@@ -21,8 +21,10 @@ tuple be fingerprint-checked.
 Names are resolved by ``storage.Scope``, the engine's own resolver: each
 level builds one ``Scope`` over the wide positions its FROM items expose,
 and ``storage.map_columns`` rewrites its column references, qualified for
-the wide query and positional for ``project_results``. The wide query stays
-plain SQL, so any engine that runs the subset can run it.
+the wide query and positional for the original projection, which compiles
+once, with the rewrite, into the closure ``project_results`` runs
+(``storage.projection``). The wide query stays plain SQL, so any engine
+that runs the subset can run it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import count
 
 from . import sqlast as ast
 from .errors import UnsupportedFeature
-from .storage import Catalog, Row, Scope, TableDef, map_columns, project_rows
+from .storage import Catalog, Row, Scope, TableDef, map_columns, projection
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +61,7 @@ class RewrittenSelect:
     # the original projection over the wide row, as (bound expr, output name);
     # in derived position every expr is a BoundCol, the position a parent reads
     original_projection: tuple[tuple, ...]
+    project: object  # wide rows -> the user's rows (``projection``); None if derived
 
     @property
     def output_names(self) -> list[str]:
@@ -72,12 +75,9 @@ def change_projection(q: ast.SelectQuery, catalog: Catalog) -> RewrittenSelect:
 
 
 def project_results(wide_rows: list[Row], rw: RewrittenSelect) -> list[Row]:
-    """Evaluate the user's original projection over the wide rows.
-
-    Row order is preserved; bare aggregates collapse the set to one row.
-    """
-    exprs = [e for e, _ in rw.original_projection]
-    return project_rows(exprs, wide_rows, len(rw.wide_query.projections))
+    """The user's original projection of the wide rows, in a new list, in
+    order; bare aggregates collapse them to one row."""
+    return list(rw.project(wide_rows))
 
 
 # --- internals ---------------------------------------------------------------
@@ -140,5 +140,6 @@ def _widen(q: ast.SelectQuery, catalog: Catalog, as_derived: bool) -> RewrittenS
             taken.add(names[i])
     wide_items = [ast.ProjectionItem(e, None if getattr(e, "column", None) == n else n)
                   for e, n in zip(exprs, names)]
+    project = None if as_derived else projection([e for e, _ in outputs], len(wide_items))
     return RewrittenSelect(ast.SelectQuery(tuple(wide_items), tuple(from_items), where),
-                           tuple(exposures), tuple(outputs))
+                           tuple(exposures), tuple(outputs), project)

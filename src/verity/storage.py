@@ -10,20 +10,21 @@ rewriter uses too. The planner (``_plan``) gives each bound WHERE conjunct
 to the deepest FROM item it reads: conjuncts over one item filter that
 item's rows once; an ``=`` between an expression over an item and one over
 earlier items becomes a hash-join key; the rest are checked on each joined
-row. Every conjunct, key and output expression compiles once into a closure
-that runs per row (``compile_predicate``, ``compile_expr``). Inside an
-arithmetic tree the closures pass raw ints and Decimals and build a Value
-only for the result. Every typed check still runs per row, since a stored
-value may have another kind than its column's declared type, and compiling
-never raises: an expression that cannot evaluate raises on the first row
-that evaluates it. The resulting ``SelectPlan`` holds no table and no row,
-so it can run again after any write. ``exec_select`` runs a plan: derived
-tables first, then the join, on the rows stored at that moment. The join
-keeps nested-loop order: rows come out by the first item's primary key,
-then the second's, and so on. No cost model. A SELECT that does not
-aggregate also returns each row's why-provenance (``SourcedRows.sources``):
-the stored row object each base-table occurrence, derived tables' included,
-gave to it. The verifier checks those stored rows.
+row. Every conjunct and key compiles once into a closure that runs per row
+(``compile_predicate``, ``compile_expr``), and the output expressions into
+one closure over the joined rows (``projection``). Inside an arithmetic
+tree the closures pass raw ints and Decimals and build a Value only for the
+result. Every typed check still runs per row, since a stored value may have
+another kind than its column's declared type, and compiling never raises:
+an expression that cannot evaluate raises on the first row that evaluates
+it. The resulting ``SelectPlan`` holds no table and no row, so it can run
+again after any write. ``exec_select`` runs a plan: derived tables first,
+then the join, on the rows stored at that moment. The join keeps
+nested-loop order: rows come out by the first item's primary key, then the
+second's, and so on. No cost model. A SELECT that does not aggregate also
+returns each row's why-provenance (``SourcedRows.sources``): the stored row
+object each base-table occurrence, derived tables' included, gave to it.
+The verifier checks those stored rows.
 
 Each base table keeps its rows in key order from its first row: every
 insert, update and delete, ``load_csv``'s included, keeps it by bisecting on
@@ -524,15 +525,14 @@ class SelectPlan:
     """A SELECT bound to the catalog (``Database.prepare``), which
     ``Database.exec_select`` runs. It holds only what the query's text and
     the catalog decide: the output names, one ``_Step`` per FROM item (a
-    derived table's plan nested in its step's ``source``), the bound output
-    expressions and the closures compiled from them. It holds no table, no
-    stored row and no hash table, and no run changes it, so one plan serves
-    any number of runs, each on the rows stored when it runs."""
+    derived table's plan nested in its step's ``source``) and the
+    projection compiled from its bound output expressions. It holds no
+    table, no stored row and no hash table, and no run changes it, so one
+    plan serves any number of runs, each on the rows stored when it runs."""
     names: tuple          # output names
     steps: tuple          # one _Step per FROM item, in order
-    exprs: tuple          # bound output expressions over the joined row
-    width: int            # the joined row's width
-    outputs: object       # rows -> output rows (``_row_outputs``); None if it aggregates
+    project: object       # joined rows -> output rows (``projection``)
+    aggregates: bool      # the projection collapses the rows to one
 
 
 @dataclass(frozen=True, slots=True)
@@ -876,8 +876,9 @@ class Database:
             off += len(names)
         scope = Scope(blocks)
         steps = _plan(q.where, scope, sources)
-        names, exprs = _outputs(q.projections, scope)
-        return SelectPlan(tuple(names), steps, tuple(exprs), off, _row_outputs(exprs, off))
+        exprs, names = zip(*_outputs(q.projections, scope))
+        return SelectPlan(names, steps, projection(exprs, off),
+                          any(any(ast.aggregates(e)) for e in exprs))
 
     def exec_select(self, q) -> list[Row]:
         """The rows of ``q``, in order: a ``SelectQuery``, prepared here, or
@@ -894,10 +895,8 @@ class Database:
         sources = [self._table(s.source) if isinstance(s.source, str) else self._run(s.source)
                    for s in plan.steps]
         joined, picked = _join(plan.steps, sources)
-        if plan.outputs is None:
-            return project_rows(plan.exprs, joined, plan.width)
-        rows = plan.outputs(joined)
-        if not all(isinstance(s, (_Table, SourcedRows)) for s in sources):
+        rows = plan.project(joined)
+        if plan.aggregates or not all(isinstance(s, (_Table, SourcedRows)) for s in sources):
             return list(rows)
         occurrences = []
         for source, mine in zip(sources, picked):
@@ -942,62 +941,42 @@ class Database:
         return db
 
 
-def _outputs(items, scope: Scope) -> tuple[list[str], list]:
-    """Output names and bound output expressions of a projection list."""
-    names: list[str] = []
-    exprs: list = []
+def _outputs(items, scope: Scope) -> list[tuple]:
+    """``(bound expression, output name)`` of each output of a projection list."""
+    out = []
     for i, item in enumerate(items):
         if isinstance(item.expr, ast.Star):
-            for n, idx in scope.all_columns():
-                names.append(n)
-                exprs.append(ast.BoundCol(idx))
-            continue
-        exprs.append(scope.bind(item.expr))
-        names.append(ast.output_name(item, i))
-    return names, exprs
+            out += [(ast.BoundCol(pos), n) for n, pos in scope.all_columns()]
+        else:
+            out.append((scope.bind(item.expr), ast.output_name(item, i)))
+    return out
 
 
-def project_rows(exprs: list, rows: list[Row], width: int) -> list[Row]:
-    """Bound output expressions evaluated over ``width``-wide rows, in order.
-
-    Bare aggregates collapse the result to one row, whose non-aggregate
-    expressions take their values from the first row (NULL when there is
-    none).
-    """
-    outputs = _row_outputs(exprs, width)
-    if outputs is not None:
-        return list(outputs(rows))
-    aggs = dict.fromkeys(node for e in exprs for node in ast.aggregates(e))
-    aggs = {node: _aggregate(node, rows) for node in aggs}
-    base = rows[0] if rows else (NULL,) * width
-    return [tuple([compile_expr(e, aggs)(base) for e in exprs])]
-
-
-def _row_outputs(exprs, width: int):
-    """Closure: ``width``-wide rows -> the output rows of ``exprs``, one per
-    row, in order; None when they aggregate. Plain column outputs are
-    picked by position; when each row already is its output, the closure
-    returns its rows themselves."""
-    positions = _positions(exprs)
-    if positions is None:
-        if any(any(ast.aggregates(e)) for e in exprs):
-            return None
-        outs = [compile_expr(e) for e in exprs]
+def projection(exprs, width: int):
+    """Closure: ``width``-wide rows -> the output rows of bound ``exprs``, in
+    order, as an iterable: the rows themselves when each row already is its
+    output. Plain column outputs are picked by position. Bare aggregates
+    collapse the rows to one, whose non-aggregate expressions take their
+    values from the first row (NULL when there is none)."""
+    exprs = tuple(exprs)
+    aggs = tuple(dict.fromkeys(node for e in exprs for node in ast.aggregates(e)))
+    if aggs:
+        def aggregate(rows):
+            values = {node: _aggregate(node, rows) for node in aggs}
+            base = rows[0] if rows else (NULL,) * width
+            return [tuple([compile_expr(e, values)(base) for e in exprs])]
+        return aggregate
+    if not all(isinstance(e, ast.BoundCol) for e in exprs):
+        outs = tuple(map(compile_expr, exprs))
         return lambda rows: (tuple([f(row) for f in outs]) for row in rows)
-    if positions == list(range(width)):
+    positions = tuple(e.index for e in exprs)
+    if positions == tuple(range(width)):
         return lambda rows: rows
     if len(positions) == 1:
         i = positions[0]
         return lambda rows: [(row[i],) for row in rows]
     pick = operator.itemgetter(*positions)
     return lambda rows: map(pick, rows)
-
-
-def _positions(exprs: list) -> list[int] | None:
-    """The positions output expressions pick, or None if one is not a column."""
-    if all(isinstance(e, ast.BoundCol) for e in exprs):
-        return [e.index for e in exprs]
-    return None
 
 
 def _aggregate(agg: ast.Aggregate, rows: list[Row]) -> Value:

@@ -2,11 +2,12 @@
 
 Every statement runs through the same pipeline: parse, widen, execute the
 wide query, fingerprint-check every distinct base tuple it touched against
-the ledger, and only then release results or apply mutations. Parsing,
-widening and binding the wide query to storage depend on the SQL text and
-the catalog alone, so a verifier does them once per text and keeps the
-result for the statement's next runs (``Verifier.process``); executing and
-checking run every time.
+the ledger, and only then release results or apply mutations. Preparing a
+statement depends on the SQL text and the catalog alone, so a verifier does
+it once per text and keeps the result for the statement's next runs
+(``Verifier.process``): parsing, widening every SELECT in it and binding
+each wide query to storage, and a write's column checks and compiled SET
+and VALUES expressions. Executing, checking and committing run every time.
 
 The write protocol is stated in row changes: UPDATE, INSERT and DELETE hand
 ``Verifier._commit_and_apply`` a ``(row id, old row, new row)`` per changed
@@ -147,11 +148,16 @@ class _Select:
 @dataclass(frozen=True, slots=True)
 class _Statement:
     """A statement prepared from its SQL text, as ``Verifier.process`` keeps
-    it: all of it a function of the text and the catalog alone."""
+    it: all of it a function of the text and the catalog alone. ``select``
+    is a SELECT's, the rows an UPDATE or DELETE targets, or an INSERT's
+    source; ``values`` holds an UPDATE's SET values, each compiled or a
+    scalar subquery's ``_Select``, or an INSERT's compiled VALUES rows."""
     query_hash: str
-    query: object          # the parsed statement
     kind: QueryKind
-    select: _Select | None  # a SELECT's, or the rows an UPDATE or DELETE targets
+    table: TableDef | None  # the table a write changes
+    select: _Select | None
+    columns: tuple = ()     # the column index each SET or INSERT value goes to
+    values: tuple = ()
 
 
 class _Timer:
@@ -228,25 +234,61 @@ class Verifier:
             return rows, report
         write = {QueryKind.UPDATE: self._update, QueryKind.INSERT: self._insert,
                  QueryKind.DELETE: self._delete}[kind]
-        td = self.db.catalog.get(stmt.query.table)
-        report.touch_table(td.name)
-        return write(stmt, td, report, principal or self.principal), report
+        report.touch_table(stmt.table.name)
+        return write(stmt, report, principal or self.principal), report
 
     def _prepare(self, sql_text: str, report: VerificationReport) -> _Statement:
-        """Parse ``sql_text``; prepare the SELECT it runs, or the target rows
-        of its UPDATE or DELETE (``_target_rows``)."""
+        """Parse ``sql_text`` and prepare every SELECT it runs: a SELECT's,
+        the target rows of an UPDATE or DELETE (``_target_rows``), an
+        UPDATE's SET subqueries and an INSERT's SELECT source. A write's
+        column list is checked, and its SET and VALUES expressions are bound
+        and compiled; they evaluate when it runs."""
         with _Timer(report, "parse"):
             q = parse(sql_text)
-        kind = classify(q)
-        select = None
+        kind, h = classify(q), report.query_hash
         if kind is QueryKind.SELECT:
-            select = self._prepare_select(q, report)
-        elif kind in (QueryKind.UPDATE, QueryKind.DELETE):
-            td = self.db.catalog.get(q.table)
-            select = self._prepare_select(
-                ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
-                                (ast.BaseTable(td.name, None),), q.where), report)
-        return _Statement(report.query_hash, q, kind, select)
+            return _Statement(h, kind, None, self._prepare_select(q, report))
+        td = self.db.catalog.get(q.table)
+        if kind is QueryKind.INSERT:
+            return self._prepare_insert(q, td, report)
+        target = self._prepare_select(
+            ast.SelectQuery((ast.ProjectionItem(ast.Star(), None),),
+                            (ast.BaseTable(td.name, None),), q.where), report)
+        if kind is QueryKind.DELETE:
+            return _Statement(h, kind, td, target)
+        columns = []
+        for a in q.assignments:
+            idx = td.col_index(a.column)  # UnknownColumn on bad names
+            if a.column in td.primary_key:
+                raise PkUpdateUnsupported(f"cannot SET primary-key column {a.column!r}")
+            if idx in columns:
+                raise DuplicateColumn(f"column {a.column!r} assigned twice")
+            columns.append(idx)
+        scope = Scope([(td.name, [(n, i) for i, n in enumerate(td.column_names())])])
+        values = tuple(self._prepare_select(a.value.query, report)
+                       if isinstance(a.value, ast.ScalarSubquery)
+                       else compile_expr(scope.bind(a.value)) for a in q.assignments)
+        return _Statement(h, kind, td, target, tuple(columns), values)
+
+    def _prepare_insert(self, q: ast.InsertQuery, td: TableDef,
+                        report: VerificationReport) -> _Statement:
+        columns = []
+        for c in q.columns:
+            idx = td.col_index(c)
+            if idx in columns:
+                raise DuplicateColumn(f"column {c!r} listed twice")
+            columns.append(idx)
+        for pk_col in td.primary_key:
+            if pk_col not in q.columns:
+                raise NullPrimaryKey(f"insert must provide primary-key column {pk_col!r}")
+        if isinstance(q.source, ast.ValuesSource):  # evaluated when it runs
+            return _Statement(report.query_hash, QueryKind.INSERT, td, None, tuple(columns),
+                              tuple(tuple(map(compile_expr, row)) for row in q.source.rows))
+        if any(isinstance(item, ast.BaseTable) and item.name == td.name
+               for sel in ast.iter_selects(q.source.query) for item in sel.from_items):
+            raise UnsupportedFeature(f"INSERT ... SELECT reading its own target table {td.name!r}")
+        return _Statement(report.query_hash, QueryKind.INSERT, td,
+                          self._prepare_select(q.source.query, report), tuple(columns))
 
     # --- the verified SELECT pipeline ----------------------------------------
 
@@ -279,76 +321,37 @@ class Verifier:
 
     # --- UPDATE, INSERT, DELETE ------------------------------------------------
 
-    def _update(self, stmt: _Statement, td: TableDef, report: VerificationReport,
+    def _update(self, stmt: _Statement, report: VerificationReport,
                 principal: str) -> MutationSummary:
-        q = stmt.query
-        set_cols = []  # the column index of each assignment
-        for a in q.assignments:
-            idx = td.col_index(a.column)  # UnknownColumn on bad names
-            if a.column in td.primary_key:
-                raise PkUpdateUnsupported(f"cannot SET primary-key column {a.column!r}")
-            if idx in set_cols:
-                raise DuplicateColumn(f"column {a.column!r} assigned twice")
-            set_cols.append(idx)
-
-        # scalar subqueries run through the verified SELECT pipeline first
-        scalars: dict[int, ast.Literal] = {}
-        for i, a in enumerate(q.assignments):
-            if isinstance(a.value, ast.ScalarSubquery):
-                rows, _ = self._select(self._prepare_select(a.value.query, report), report)
+        td = stmt.table
+        setters = []
+        for idx, value in zip(stmt.columns, stmt.values):
+            if isinstance(value, _Select):  # a scalar subquery, verified first
+                rows, _ = self._select(value, report)
                 if len(rows) != 1 or len(rows[0]) != 1:
-                    raise NonScalarSubquery(
-                        f"SET subquery for {a.column!r} returned "
-                        f"{len(rows)} row(s); exactly one value required"
-                    )
-                scalars[i] = ast.Literal(rows[0][0])
-
-        old_rows = self._target_rows(stmt.select, report)
-
-        scope = Scope([(td.name, [(n, i) for i, n in enumerate(td.column_names())])])
-        setters = [(idx, td.columns[idx].type,
-                    compile_expr(scalars[i] if i in scalars else scope.bind(a.value)))
-                   for i, (idx, a) in enumerate(zip(set_cols, q.assignments))]
+                    raise NonScalarSubquery(f"SET subquery for {td.columns[idx].name!r} returned "
+                                            f"{len(rows)} row(s); exactly one value required")
+                value = lambda row, v=rows[0][0]: v
+            setters.append((idx, td.columns[idx].type, value))
         changes = []
-        for rid, old in old_rows:
+        for rid, old in self._target_rows(stmt.select, report):
             new = list(old)
             for idx, typ, expr in setters:
                 new[idx] = coerce(expr(old), typ)
             changes.append((rid, old, tuple(new)))
         return self._commit_and_apply(report, QueryKind.UPDATE, td, principal, changes)
 
-    def _insert(self, stmt: _Statement, td: TableDef, report: VerificationReport,
+    def _insert(self, stmt: _Statement, report: VerificationReport,
                 principal: str) -> MutationSummary:
-        q = stmt.query
-        col_idx = []
-        for c in q.columns:
-            idx = td.col_index(c)
-            if idx in col_idx:
-                raise DuplicateColumn(f"column {c!r} listed twice")
-            col_idx.append(idx)
-        for pk_col in td.primary_key:
-            if pk_col not in q.columns:
-                raise NullPrimaryKey(f"insert must provide primary-key column {pk_col!r}")
-
-        if isinstance(q.source, ast.SelectSource):
-            if any(isinstance(item, ast.BaseTable) and item.name == td.name
-                   for sel in ast.iter_selects(q.source.query) for item in sel.from_items):
-                raise UnsupportedFeature(
-                    f"INSERT ... SELECT reading its own target table {td.name!r}"
-                )
-            src_rows, _ = self._select(self._prepare_select(q.source.query, report), report)
-        else:
-            src_rows = [tuple(compile_expr(e)(()) for e in row_exprs)
-                        for row_exprs in q.source.rows]
-
+        td, columns = stmt.table, stmt.columns
+        src_rows = (self._select(stmt.select, report)[0] if stmt.select is not None
+                    else [tuple(f(()) for f in row) for row in stmt.values])
         new_rows = []
         for r in src_rows:
-            if len(r) != len(q.columns):
-                raise ArityError(
-                    f"insert supplies {len(r)} values for {len(q.columns)} columns"
-                )
+            if len(r) != len(columns):
+                raise ArityError(f"insert supplies {len(r)} values for {len(columns)} columns")
             values = [NULL] * len(td.columns)
-            for v, idx in zip(r, col_idx):
+            for v, idx in zip(r, columns):
                 values[idx] = coerce(v, td.columns[idx].type)
             new_rows.append(tuple(values))
 
@@ -366,10 +369,10 @@ class Verifier:
             changes.append((row_id(pk, td.name), None, values))
         return self._commit_and_apply(report, QueryKind.INSERT, td, principal, changes)
 
-    def _delete(self, stmt: _Statement, td: TableDef, report: VerificationReport,
+    def _delete(self, stmt: _Statement, report: VerificationReport,
                 principal: str) -> MutationSummary:
         changes = [(rid, old, None) for rid, old in self._target_rows(stmt.select, report)]
-        return self._commit_and_apply(report, QueryKind.DELETE, td, principal, changes)
+        return self._commit_and_apply(report, QueryKind.DELETE, stmt.table, principal, changes)
 
     def _target_rows(self, target: _Select, report: VerificationReport) -> list[tuple[str, tuple]]:
         """``(row id, row)`` of every row an UPDATE or DELETE targets, in key
@@ -454,7 +457,9 @@ class Verifier:
         A row's id and fingerprint come from the table's ``verified`` memo
         by the row object's id. Otherwise both are computed, and the entry
         is stored once the ledger confirms the fingerprint as the row's
-        active one."""
+        active one. No write stores a NULL key, so a row with one has no row
+        id: it stands under a marker that no 64-hex id equals, is looked up
+        nowhere, and alerts as "ABSENT"."""
         checked = report.checked
         verified = self.db.verified_rows(td.name)
         report.tuples_seen += len(rows)
@@ -462,7 +467,17 @@ class Verifier:
         for row in rows:
             entry = verified.get(id(row))  # an entry holds its row: this one
             if entry is None:
-                rid = row_id(td.key(row), td.name)
+                try:
+                    rid = row_id(td.key(row), td.name)
+                except NullPrimaryKey:
+                    rid = f"{td.name}: NULL in key {td.key(row)}"
+                    rids.append(rid)
+                    if rid not in checked:
+                        checked[rid] = fp = fingerprint(rid, row)
+                        report.tuples_fingerprinted += 1
+                        report.alerts.append(TamperAlert(rid, td.name, "ABSENT", fp,
+                                                         report.query_hash, self.clock()))
+                    continue
             else:
                 _, rid, fp = entry
             rids.append(rid)

@@ -523,6 +523,7 @@ def test_tamper_set_refuses_more_than_one_field(tmp_path, capsys):
     ("region", "--pk", "", "--set", "r_name=x"),
     ("region", "--insert", "77,a,b\n78,c,d"),  # two records
     ("region", "--pk", "1,2", "--delete"),   # two fields for a one-column key
+    ("region", "--pk", "1", "--set", "r_comment"),  # no "=": not column=value
 ])
 def test_tamper_refuses_what_is_not_one_record_of_the_table(workdir, capsys, argv):
     tmp, conf = workdir

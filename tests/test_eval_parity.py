@@ -3,7 +3,7 @@
 ``oracle_eval_expr``, ``oracle_arith``, ``oracle_compare``,
 ``oracle_eval_predicate`` and ``oracle_eval_aggregate`` are the per-row tree
 walker that ``storage.compile_expr``, ``storage.compile_predicate`` and the
-aggregates of ``storage.project_rows`` replaced, kept here as the reference.
+aggregates of ``storage.projection`` replaced, kept here as the reference.
 Two adaptations: a LIKE node is the parser's ``LikePredicate``, its regex
 compiled by ``storage._like_regex``, and the quantize is written out, since
 ``values.quantize_decimal`` now raises EvalError where the walker let
@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from verity import sqlast as ast
 from verity.errors import EvalError
 from verity.parser import parse
-from verity.storage import Database, _like_regex, compile_expr, compile_predicate, project_rows
+from verity.storage import Database, _like_regex, compile_expr, compile_predicate, projection
 from verity.values import INT64_MAX, INT64_MIN, NULL, Value, ValueType
 
 WIDTH = 4
@@ -274,7 +274,7 @@ def assert_same(oracle, compiled):
 def test_expressions_match_the_tree_walker(data, exprs):
     rows = data.draw(COLUMN_TYPES.flatmap(rows_of))
     assert_same(lambda: oracle_project(exprs, rows, WIDTH),
-                lambda: project_rows(exprs, rows, WIDTH))
+                lambda: list(projection(exprs, WIDTH)(rows)))
     for row in rows:
         for e in exprs:
             assert_same(lambda: oracle_eval_expr(e, row), lambda: compile_expr(e)(row))
@@ -297,16 +297,16 @@ def test_aggregates_match_the_tree_walker(data, exprs):
     rows = data.draw(st.one_of(NUMERIC_TYPES.flatmap(rows_of),
                                NUMERIC_TYPES.flatmap(lambda types: rows_of(types, 2))))
     assert_same(lambda: oracle_project(exprs, rows, WIDTH),
-                lambda: project_rows(exprs, rows, WIDTH))
+                lambda: list(projection(exprs, WIDTH)(rows)))
 
 
 def test_an_expression_that_cannot_evaluate_raises_on_its_first_row_only():
     bad = [ast.ColumnRef(None, "c"), ast.BinaryOp("+", ast.Literal(Value.text("a")),
                                                   ast.Literal(Value.integer(1)))]
-    assert project_rows(bad, [], WIDTH) == []
-    assert project_rows([ast.Aggregate("sum", bad[1])], [], WIDTH) == [(NULL,)]
+    assert list(projection(bad, WIDTH)([])) == []
+    assert list(projection([ast.Aggregate("sum", bad[1])], WIDTH)([])) == [(NULL,)]
     with pytest.raises(EvalError, match="arithmetic needs numeric operands, got text/integer"):
-        project_rows(bad[1:], [(NULL,) * WIDTH], WIDTH)
+        list(projection(bad[1:], WIDTH)([(NULL,) * WIDTH]))
 
 
 def test_sum_and_avg_add_in_row_order():
@@ -314,9 +314,9 @@ def test_sum_and_avg_add_in_row_order():
     rows = [(Value.decimal(Decimal(d)),) for d in ("1E+30", "-1E+30", "1")]
     for agg in (ast.Aggregate("sum", ast.BoundCol(0)), ast.Aggregate("avg", ast.BoundCol(0))):
         for ordered in (rows, rows[::-1]):
-            got = project_rows([agg], ordered, 1)
+            got = list(projection([agg], 1)(ordered))
             assert canon(got) == canon(oracle_project([agg], ordered, 1))
-    assert project_rows([ast.Aggregate("sum", ast.BoundCol(0))], rows, 1) == [
+    assert list(projection([ast.Aggregate("sum", ast.BoundCol(0))], 1)(rows)) == [
         (Value.decimal(Decimal(1)),)]
 
 

@@ -10,6 +10,7 @@ import verity.storage
 import verity.verifier
 from conftest import make_t123, make_verified, rows_to_raw
 from verity.errors import (
+    DuplicateColumn,
     DuplicatePrimaryKey,
     DuplicateRowId,
     EvalError,
@@ -18,6 +19,7 @@ from verity.errors import (
     NullPrimaryKey,
     PkUpdateUnsupported,
     TamperDetected,
+    UnknownColumn,
     UnsupportedFeature,
     VerityError,
 )
@@ -844,6 +846,31 @@ def test_a_memoised_row_still_alerts_when_the_ledger_changes():
     assert exc.value.report.tuples_fingerprinted == 0
 
 
+def test_a_null_key_alerts_as_absent_and_is_looked_up_nowhere(monkeypatch):
+    """An edit that NULLs a key (no write stores one) alerts on every check
+    that reads the row; it used to crash the check with NullPrimaryKey."""
+    db = memo_db()
+    ledger, verifier = make_verified(db)
+    verifier.process("select * from o")  # memoises the row before the edit
+    db.raw_mutate("o", (Value.integer(12),), "k", NULL)
+    lookups = []
+    get_current = ledger.get_current
+    monkeypatch.setattr(ledger, "get_current", lambda rid: lookups.append(rid) or
+                        get_current(rid))
+    for sql in ("select * from o", "select count(*) from o", "select * from o",
+                "select * from o, c where o.ck = c.k"):
+        lookups.clear()
+        with pytest.raises(TamperDetected) as exc:
+            verifier.process(sql)
+        [alert] = exc.value.alerts
+        assert (alert.table, alert.expected) == ("o", "ABSENT")
+        assert alert.row_id not in lookups and len(alert.row_id) != 64
+        assert alert.row_id in exc.value.report.checked
+    alerts, missing = verifier.audit_full()
+    assert [(a.table, a.expected) for a in alerts] == [("o", "ABSENT")]
+    assert [(m.row_id, m.table) for m in missing] == [(row_id((Value.integer(12),), "o"), "o")]
+
+
 def test_the_memo_holds_only_stored_rows_and_a_clone_starts_without_it():
     db = memo_db()
     _, verifier = make_verified(db)
@@ -963,9 +990,11 @@ def count_preparing(monkeypatch) -> dict:
     ("delete from l where k = 103", {"parse": 1, "change_projection": 1, "prepare": 1}),
     ("insert into c (k, name) values (9, 'di')", {"parse": 1, "change_projection": 0,
                                                   "prepare": 0}),
-    # a SET subquery is prepared on every run
+    # a SET subquery is prepared with its statement, beside the target rows
     ("update o set v = (select count(*) from c) where k = 12",
-     {"parse": 1, "change_projection": 3, "prepare": 3}),
+     {"parse": 1, "change_projection": 2, "prepare": 2}),
+    ("insert into l (k, ok, q) select k, k, v from o where k = 10",
+     {"parse": 1, "change_projection": 1, "prepare": 1}),
 ])
 def test_a_repeated_text_is_parsed_rewritten_and_bound_once(monkeypatch, sql, preparing):
     db = memo_db()
@@ -980,8 +1009,47 @@ def test_a_repeated_text_is_parsed_rewritten_and_bound_once(monkeypatch, sql, pr
     assert calls == preparing
     assert reports[0].query_hash == reports[-1].query_hash == (
         hashlib.sha256(sql.encode("utf-8")).hexdigest())
-    if len(reports) == 2 and preparing["prepare"] < 3:
+    if len(reports) == 2:
         assert reports[1].elapsed["parse"] == reports[1].elapsed["rewrite"] == 0.0
+
+
+def test_a_kept_subquery_reads_the_rows_stored_when_it_runs():
+    db = memo_db()
+    _, verifier = make_verified(db)
+    update = "update o set v = (select count(*) from l where ok = 12) where k = 12"
+    insert = "insert into l (k, ok, q) select k, k, v from o where k = 10"
+    for sql in (update, insert, "insert into l (k, ok, q) values (104, 12, 0)", update,
+                "delete from l where k = 10", "update o set v = 9 where k = 10", insert):
+        _, report = verifier.process(sql)
+    assert report.tuples_checked == 1  # the source row, checked again
+    assert rows_to_raw(verifier.process("select k, v from o where k = 12")[0]) == [(12, 2)]
+    assert rows_to_raw(verifier.process("select * from l where k = 10")[0]) == [(10, 10, 9)]
+
+
+# writes whose SET list, SET expression or INSERT column list does not bind
+PREPARE_ERRORS = {
+    "update o set nosuch = 1 where k = 12": UnknownColumn,
+    "update o set v = nosuch + 1 where k = 12": UnknownColumn,
+    "update o set k = 1 where k = 12": PkUpdateUnsupported,
+    "update o set v = 1, v = 2 where k = 12": DuplicateColumn,
+    "update o set v = (select nosuch from c) where k = 12": UnknownColumn,
+    "insert into c (k, k) values (1, 2)": DuplicateColumn,
+    "insert into c (name) values ('x')": NullPrimaryKey,
+    "insert into c (k, name) select k + 10, name from c": UnsupportedFeature,
+}
+
+
+@pytest.mark.parametrize("sql, error", PREPARE_ERRORS.items())
+def test_a_write_that_does_not_bind_raises_before_any_of_its_selects_runs(sql, error):
+    """Over a tampered row, such a write raises its binding error, not
+    TamperDetected: it is refused while it is prepared, before it reads."""
+    db = memo_db()
+    _, verifier = make_verified(db)
+    for table, (key, column, tampered, _) in MEMO_TAMPER.items():
+        db.raw_mutate(table, (Value.integer(key),), column, tampered)
+    with pytest.raises(error):
+        verifier.process(sql)
+    assert len(verifier._statements) == 0
 
 
 @pytest.mark.parametrize("sql", [
@@ -993,7 +1061,8 @@ def test_a_repeated_text_is_parsed_rewritten_and_bound_once(monkeypatch, sql, pr
 def test_a_text_that_fails_to_prepare_is_not_kept(sql):
     db = memo_db()
     _, verifier = make_verified(db)
-    for bad in (sql, "select nosuch from o", "select * from", "select * from (select k from o)"):
+    for bad in (sql, "select nosuch from o", "select * from", "select * from (select k from o)",
+                *PREPARE_ERRORS):
         with pytest.raises(VerityError):
             verifier.process(bad)
     assert len(verifier._statements) == 0
@@ -1036,6 +1105,9 @@ PLAN_STEPS = st.one_of(
     st.tuples(st.just("insert"), st.sampled_from(sorted(MEMO_TAMPER)), _MEMO_KEY),
     st.tuples(st.just("delete"), st.sampled_from(sorted(MEMO_TAMPER)), _MEMO_KEY),
     st.tuples(st.just("tamper"), st.sampled_from(sorted(MEMO_TAMPER))),
+    st.tuples(st.just("update_sub"), st.sampled_from(sorted(MEMO_TAMPER)), _MEMO_KEY,
+              st.booleans()),
+    st.tuples(st.just("insert_select"), st.sampled_from(sorted(MEMO_TAMPER)), _MEMO_KEY),
 )
 _WRITES = {
     "update": {
@@ -1049,18 +1121,37 @@ _WRITES = {
         "l": lambda k: f"insert into l (k, ok, q) values ({k}, {10 + k % 5}, {k % 7})",
     },
     "delete": {t: (lambda k, t=t: f"delete from {t} where k = {k}") for t in MEMO_TAMPER},
+    # a SET subquery and an INSERT source, kept with their statement, read
+    # the rows stored when it runs
+    "update_sub": {
+        "c": lambda k, many: (f"update c set name = (select max(name) from c where k <= {k}) "
+                              f"where k {'>=' if many else '='} {k}"),
+        "o": lambda k, many: (f"update o set v = (select count(*) from l where ok = {k}) "
+                              f"where k {'>=' if many else '='} {k}"),
+        "l": lambda k, many: (f"update l set q = (select sum(o.v) from o, c where o.ck = c.k "
+                              f"and o.k <= {k}) where k {'>=' if many else '='} {k}"),
+    },
+    "insert_select": {
+        "c": lambda k: f"insert into c (k, name) select k, 'l' from l where k = {k}",
+        "o": lambda k: f"insert into o (k, ck, v) select k + 20, k, q from l where k <= {k}",
+        "l": lambda k: f"insert into l (k, ok, q) select k, k, v from o where k = {k}",
+    },
 }
 
 
 def observed(verifier: Verifier, sql: str):
-    """What a verified SELECT released or raised, comparable with ==."""
+    """What a verified statement released or raised, comparable with ==."""
     try:
-        rows, report = verifier.process(sql)
+        payload, report = verifier.process(sql)
     except TamperDetected as exc:
         report = exc.report
         return ("tampered", [a.row_id for a in exc.alerts],
                 report.tuples_checked, report.tuples_seen)
-    return rows_to_raw(rows), report.tuples_checked, report.tuples_seen
+    except DuplicatePrimaryKey as exc:
+        return type(exc).__name__, str(exc)
+    if not isinstance(payload, MutationSummary):
+        payload = rows_to_raw(payload)
+    return payload, report.tuples_checked, report.tuples_seen
 
 
 @settings(max_examples=40, deadline=None)
@@ -1096,10 +1187,11 @@ def test_a_long_lived_verifier_behaves_as_a_fresh_one(steps):
             db.raw_mutate(table, pk, column, stored)
         else:
             table, *rest = args
-            try:
-                verifier.process(_WRITES[kind][table](*rest))
-            except (TamperDetected, DuplicatePrimaryKey):
-                pass
+            sql = _WRITES[kind][table](*rest)
+            # the fresh verifier writes to copies, taken before the kept one writes
+            fresh = Verifier(db.clone(), ledger.clone_in_memory(), "peer-1",
+                             clock=lambda: 1_700_000_000)
+            assert observed(verifier, sql) == observed(fresh, sql), step
         compare(step)
 
 
